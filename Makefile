@@ -1,12 +1,16 @@
 GO ?= go
 
-.PHONY: build test vet lint race bench benchjson verify
+.PHONY: build test fmt vet lint race bench benchjson verify
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# Fails listing every file gofmt would change.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -29,4 +33,4 @@ benchjson:
 	$(GO) test -run=^$$ -bench=. -benchmem -benchtime=1x ./... | $(GO) run ./cmd/benchjson > BENCH.json
 
 # The full gate: everything must pass before a change lands.
-verify: build vet lint race
+verify: build fmt vet lint race

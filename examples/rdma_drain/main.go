@@ -16,6 +16,8 @@
 //     cuts the line, re-registers, reconnects — and the same crash
 //     replays bit-exactly.
 //
+// Run it with:
+//
 //	go run ./examples/rdma_drain
 package main
 

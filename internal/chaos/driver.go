@@ -207,9 +207,8 @@ func (d *Driver) flipBit() {
 		return
 	}
 	bit := d.rng.IntN(len(data) * 8)
-	flipped := append([]byte(nil), data...)
-	flipped[bit/8] ^= 1 << (bit % 8)
-	if err := d.flipTarget.Put(key, flipped); err != nil {
+	data[bit/8] ^= 1 << (bit % 8) // Get results are the caller's to modify
+	if err := d.flipTarget.Put(key, data); err != nil {
 		d.stats.BitFlipMisses++
 		return
 	}

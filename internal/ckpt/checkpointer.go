@@ -140,6 +140,25 @@ type Checkpointer struct {
 
 	// In-flight overlapped checkpoint, if any (see overlap.go).
 	inflight *drain
+
+	// encBuf holds the encoding of the segment being persisted. It is
+	// reused across lines: Store.Put does not keep its data argument.
+	encBuf []byte
+}
+
+// encode serialises seg into the checkpointer's reusable buffer, grown
+// once to the segment's encoded length when it is too small, and returns
+// the encoding with the page payload volume it carries. The returned
+// slice is only valid until the next encode.
+func (c *Checkpointer) encode(seg *Segment) ([]byte, uint64) {
+	if n := seg.encodedLen(c.opts.Compress); cap(c.encBuf) < n {
+		c.encBuf = make([]byte, 0, n)
+	}
+	enc, payload := seg.appendEncode(c.encBuf[:0], c.opts.Compress)
+	if !c.opts.Compress {
+		payload = uint64(len(seg.Pages)) * seg.PageSize
+	}
+	return enc, payload
 }
 
 // NewCheckpointer creates a checkpointer. Call Start to begin capturing
@@ -360,9 +379,10 @@ func (c *Checkpointer) Checkpoint() (Result, error) {
 	capture := func(r *mem.Region, idx uint64) {
 		rec := PageRecord{Addr: r.PageAddr(idx)}
 		if !seg.ContentFree {
-			if pd := r.PeekPage(idx); pd != nil {
-				rec.Data = append([]byte(nil), pd...)
-			}
+			// A view of the live page, not a copy: nothing writes to
+			// the space between this capture and the encode below,
+			// and seg does not outlive this call.
+			rec.Data = r.PeekPage(idx)
 			if c.skipUnchanged(kind, rec.Addr, rec.Data) {
 				dedupSkipped++
 				return
@@ -423,13 +443,7 @@ func (c *Checkpointer) Checkpoint() (Result, error) {
 	}
 	c.protectAll()
 
-	var enc []byte
-	var payload uint64
-	if c.opts.Compress {
-		enc, payload = seg.EncodeCompressed()
-	} else {
-		enc, payload = seg.Encode(), uint64(len(seg.Pages))*ps
-	}
+	enc, payload := c.encode(seg)
 	key := SegmentKey(c.opts.Rank, c.seq)
 	if err := c.opts.Store.Put(key, enc); err != nil {
 		return Result{}, fmt.Errorf("ckpt: persist %s: %w", key, err)

@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/des"
@@ -49,8 +50,16 @@ func FuzzDecodeSegment(f *testing.F) {
 			t.Fatalf("accepted segment did not re-decode: %v", err)
 		}
 		if s2.Rank != s.Rank || s2.Seq != s.Seq || s2.Epoch != s.Epoch ||
-			s2.Kind != s.Kind || len(s2.Pages) != len(s.Pages) {
+			s2.Kind != s.Kind || s2.ContentFree != s.ContentFree ||
+			s2.PageSize != s.PageSize || s2.TakenAt != s.TakenAt ||
+			!slices.Equal(s2.Regions, s.Regions) || len(s2.Pages) != len(s.Pages) {
 			t.Fatalf("re-decode mismatch: %+v vs %+v", s2, s)
+		}
+		for i, p := range s.Pages {
+			q := s2.Pages[i]
+			if q.Addr != p.Addr || !bytes.Equal(q.Data, p.Data) || (q.Data == nil) != (p.Data == nil) {
+				t.Fatalf("page %d re-decoded as addr %#x data %x, want addr %#x data %x", i, q.Addr, q.Data, p.Addr, p.Data)
+			}
 		}
 	})
 }

@@ -195,13 +195,7 @@ func (c *Checkpointer) finishDrain() {
 			c.capturePending(d, r, idx)
 		}
 	}
-	var enc []byte
-	var payload uint64
-	if c.opts.Compress {
-		enc, payload = d.seg.EncodeCompressed()
-	} else {
-		enc, payload = d.seg.Encode(), uint64(len(d.seg.Pages))*c.space.PageSize()
-	}
+	enc, payload := c.encode(d.seg)
 	key := fmt.Sprintf("rank%03d/seg%06d", c.opts.Rank, d.seg.Seq)
 	var err error
 	if perr := c.opts.Store.Put(key, enc); perr != nil {

@@ -10,7 +10,6 @@
 package ckpt
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -82,9 +81,10 @@ const (
 )
 
 // Encode serialises the segment to a portable little-endian byte stream
-// with raw (uncompressed) page payloads.
+// with raw (uncompressed) page payloads, into a fresh slice sized exactly
+// to the encoding.
 func (s *Segment) Encode() []byte {
-	enc, _ := s.encode(false)
+	enc, _ := s.appendEncode(make([]byte, 0, s.encodedLen(false)), false)
 	return enc
 }
 
@@ -93,62 +93,85 @@ func (s *Segment) Encode() []byte {
 // payload volume actually persisted — the quantity a bandwidth-limited
 // sink has to absorb.
 func (s *Segment) EncodeCompressed() ([]byte, uint64) {
-	return s.encode(true)
+	return s.appendEncode(make([]byte, 0, s.encodedLen(true)), true)
 }
 
-func (s *Segment) encode(compress bool) ([]byte, uint64) {
-	var payload uint64
-	var buf bytes.Buffer
-	buf.WriteString(segmentMagic)
-	le := binary.LittleEndian
-	var scratch [8]byte
-	w32 := func(v uint32) { le.PutUint32(scratch[:4], v); buf.Write(scratch[:4]) }
-	w64 := func(v uint64) { le.PutUint64(scratch[:8], v); buf.Write(scratch[:8]) }
-	w32(segmentVersion)
-	w32(uint32(s.Rank))
-	w64(s.Seq)
-	w64(s.Epoch)
-	buf.WriteByte(byte(s.Kind))
+// segmentHeaderLen is the fixed prefix before the region table: magic,
+// version, rank, seq, epoch, kind, content-free flag, page size, taken-at
+// and the region count.
+const segmentHeaderLen = 4 + 4 + 4 + 8 + 8 + 1 + 1 + 8 + 8 + 4
+
+// encodedLen returns the length of the segment's encoding: exact for
+// raw payloads, an upper bound when compress is set (an RLE record
+// carries a 4-byte stream length and is kept only when it shrinks the
+// page).
+func (s *Segment) encodedLen(compress bool) int {
+	n := segmentHeaderLen + 17*len(s.Regions) + 8 + 8*len(s.Pages)
 	if s.ContentFree {
-		buf.WriteByte(1)
-	} else {
-		buf.WriteByte(0)
+		return n
 	}
-	w64(s.PageSize)
-	w64(uint64(s.TakenAt))
-	w32(uint32(len(s.Regions)))
-	for _, r := range s.Regions {
-		w64(r.Start)
-		w64(r.Size)
-		buf.WriteByte(byte(r.Kind))
-	}
-	w64(uint64(len(s.Pages)))
+	n += len(s.Pages) // one flag byte per page
 	for _, p := range s.Pages {
-		w64(p.Addr)
+		if p.Data != nil {
+			n += len(p.Data)
+			if compress {
+				n += 4
+			}
+		}
+	}
+	return n
+}
+
+// appendEncode appends the segment's encoding to dst and returns the
+// extended slice plus the page payload volume written. With enough
+// spare capacity in dst (see encodedLen) it allocates nothing on the
+// raw path, which is how a Checkpointer reuses one buffer across lines.
+func (s *Segment) appendEncode(dst []byte, compress bool) ([]byte, uint64) {
+	var payload uint64
+	le := binary.LittleEndian
+	buf := append(dst, segmentMagic...)
+	buf = le.AppendUint32(buf, segmentVersion)
+	buf = le.AppendUint32(buf, uint32(s.Rank))
+	buf = le.AppendUint64(buf, s.Seq)
+	buf = le.AppendUint64(buf, s.Epoch)
+	buf = append(buf, byte(s.Kind))
+	if s.ContentFree {
+		buf = append(buf, 1)
+	} else {
+		buf = append(buf, 0)
+	}
+	buf = le.AppendUint64(buf, s.PageSize)
+	buf = le.AppendUint64(buf, uint64(s.TakenAt))
+	buf = le.AppendUint32(buf, uint32(len(s.Regions)))
+	for _, r := range s.Regions {
+		buf = le.AppendUint64(buf, r.Start)
+		buf = le.AppendUint64(buf, r.Size)
+		buf = append(buf, byte(r.Kind))
+	}
+	buf = le.AppendUint64(buf, uint64(len(s.Pages)))
+	for _, p := range s.Pages {
+		buf = le.AppendUint64(buf, p.Addr)
 		if s.ContentFree {
 			continue
 		}
-		switch {
-		case p.Data == nil:
-			buf.WriteByte(pageZero) // zero page, elided
-		case compress:
+		if p.Data == nil {
+			buf = append(buf, pageZero) // zero page, elided
+			continue
+		}
+		if compress {
 			if c := rleCompress(p.Data); c != nil {
-				buf.WriteByte(pageRLE)
-				w32(uint32(len(c)))
-				buf.Write(c)
+				buf = append(buf, pageRLE)
+				buf = le.AppendUint32(buf, uint32(len(c)))
+				buf = append(buf, c...)
 				payload += uint64(len(c))
 				continue
 			}
-			buf.WriteByte(pageHasData)
-			buf.Write(p.Data)
-			payload += uint64(len(p.Data))
-		default:
-			buf.WriteByte(pageHasData)
-			buf.Write(p.Data)
-			payload += uint64(len(p.Data))
 		}
+		buf = append(buf, pageHasData)
+		buf = append(buf, p.Data...)
+		payload += uint64(len(p.Data))
 	}
-	return buf.Bytes(), payload
+	return buf, payload
 }
 
 // decoder is a bounds-checked little-endian reader.
@@ -191,7 +214,9 @@ func (d *decoder) u64() (uint64, error) {
 }
 
 // DecodeSegment parses a segment encoded by Encode, validating structure
-// and bounds.
+// and bounds. It decodes in place: the Data of every raw page aliases
+// data, so the caller must not modify data while the segment is in use.
+// RLE-compressed pages are decompressed into fresh slices.
 func DecodeSegment(data []byte) (*Segment, error) {
 	d := &decoder{b: data}
 	magic, err := d.need(4)
@@ -291,7 +316,7 @@ func DecodeSegment(data []byte) (*Segment, error) {
 				if err != nil {
 					return nil, err
 				}
-				p.Data = append([]byte(nil), raw...)
+				p.Data = raw[:len(raw):len(raw)]
 			case pageRLE:
 				n, err := d.u32()
 				if err != nil {

@@ -2,6 +2,7 @@ package ckptstore
 
 import (
 	"fmt"
+	"slices"
 )
 
 // Client is one rank's connection to the service. It implements
@@ -13,6 +14,9 @@ type Client struct {
 	svc    *Service
 	id     uint32
 	nextID uint64
+	// req holds the encoded request, reused across operations: the
+	// service does not keep a request frame after Handle returns.
+	req []byte
 }
 
 // Client returns a connection for the given client id (one per rank).
@@ -29,7 +33,8 @@ func (c *Client) roundTrip(req *Frame) (*Frame, error) {
 	req.Client = c.id
 	req.ID = c.nextID
 	req.Deadline = c.svc.cfg.OpDeadline
-	respBytes, err := c.svc.Handle(req.Encode())
+	c.req = req.appendEncode(slices.Grow(c.req[:0], frameHeaderLen+len(req.Key)+len(req.Payload)))
+	respBytes, err := c.svc.Handle(c.req)
 	if err != nil {
 		return nil, fmt.Errorf("ckptstore: client %d: %w", c.id, err)
 	}

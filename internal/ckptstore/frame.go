@@ -167,9 +167,13 @@ type Frame struct {
 // deadline(8) keylen(2) paylen(4).
 const frameHeaderLen = 4 + 1 + 1 + 1 + 1 + 4 + 8 + 8 + 2 + 4
 
-// Encode serialises the frame.
+// Encode serialises the frame into a fresh slice.
 func (f *Frame) Encode() []byte {
-	out := make([]byte, 0, frameHeaderLen+len(f.Key)+len(f.Payload))
+	return f.appendEncode(make([]byte, 0, frameHeaderLen+len(f.Key)+len(f.Payload)))
+}
+
+// appendEncode appends the frame's encoding to out.
+func (f *Frame) appendEncode(out []byte) []byte {
 	out = append(out, frameMagic...)
 	out = append(out, frameVersion, f.Kind, uint8(f.Op), uint8(f.Status))
 	out = binary.LittleEndian.AppendUint32(out, f.Client)
@@ -183,7 +187,9 @@ func (f *Frame) Encode() []byte {
 }
 
 // DecodeFrame parses one frame, rejecting anything Encode could not
-// have produced.
+// have produced. The returned Payload is a view into b, not a copy (nil
+// when the payload is empty): the caller must not modify b while the
+// frame is in use, and owns the payload exactly when it owns b.
 func DecodeFrame(b []byte) (*Frame, error) {
 	if len(b) < frameHeaderLen {
 		return nil, fmt.Errorf("%w: %d bytes, want >= %d", ErrBadFrame, len(b), frameHeaderLen)
@@ -227,7 +233,7 @@ func DecodeFrame(b []byte) (*Frame, error) {
 		return nil, fmt.Errorf("%w: payload length %d, have %d bytes", ErrBadFrame, payLen, len(rest))
 	}
 	if payLen > 0 {
-		f.Payload = append([]byte(nil), rest...)
+		f.Payload = rest[:payLen:payLen]
 	}
 	return f, nil
 }

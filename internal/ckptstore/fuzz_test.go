@@ -6,9 +6,10 @@ import (
 )
 
 // FuzzParseServiceFrame drives DecodeFrame with arbitrary bytes. The
-// invariants: no panic on any input, and the codec is canonical — every
-// accepted frame re-encodes to exactly the bytes that were decoded, and
-// a round trip through Encode/Decode is a fixed point.
+// invariants: no panic on any input, the payload is a view of the input
+// bytes at its offset, and the codec is canonical — every accepted frame
+// re-encodes to exactly the bytes that were decoded, and a round trip
+// through Encode/Decode is a fixed point.
 func FuzzParseServiceFrame(f *testing.F) {
 	seeds := []*Frame{
 		{Kind: KindRequest, Op: OpPut, Client: 3, ID: 17, Deadline: 1 << 20, Key: "rank000/seg000001", Payload: []byte("pages")},
@@ -31,6 +32,15 @@ func FuzzParseServiceFrame(f *testing.F) {
 				t.Fatal("error with non-nil frame")
 			}
 			return
+		}
+		// The payload is the input's tail after the header and key, and
+		// a view of it capped at its own length rather than a copy.
+		off := frameHeaderLen + len(fr.Key)
+		if !bytes.Equal(fr.Payload, data[off:]) {
+			t.Fatalf("payload %x, input bytes at offset %d are %x", fr.Payload, off, data[off:])
+		}
+		if len(fr.Payload) > 0 && (&fr.Payload[0] != &data[off] || cap(fr.Payload) != len(fr.Payload)) {
+			t.Fatal("payload is not a capacity-capped view of the input")
 		}
 		// Canonical: accepted bytes re-encode identically.
 		enc := fr.Encode()

@@ -524,6 +524,9 @@ func (s *Service) RecoveryLine(ranks int) (uint64, bool, error) {
 // Handle services one encoded request frame and returns the encoded
 // response. Transport errors (unparseable frames) are returned as Go
 // errors; storage-level failures travel inside the response status.
+// Handle does not keep req after it returns — a Put payload is copied
+// into the replicas or the journal — so a client may reuse the buffer,
+// and the response is a fresh slice the caller owns.
 func (s *Service) Handle(req []byte) ([]byte, error) {
 	f, err := DecodeFrame(req)
 	if err != nil {

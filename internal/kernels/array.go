@@ -21,11 +21,16 @@ import (
 // Array is a dense float64 vector stored in a region of a simulated
 // address space. All element accesses go through the simulated MMU, so a
 // tracker attached to the space observes the kernel's true write pattern.
+//
+// An Array is not safe for concurrent use: Read and Write stage element
+// bytes through one scratch buffer the array owns, so steady-state row
+// I/O allocates nothing.
 type Array struct {
-	space *mem.AddressSpace
-	reg   *mem.Region
-	base  uint64
-	n     int
+	space   *mem.AddressSpace
+	reg     *mem.Region
+	base    uint64
+	n       int
+	scratch []byte
 }
 
 // NewArray maps a fresh arena holding n float64s.
@@ -73,12 +78,21 @@ func (a *Array) check(off, n int) error {
 	return nil
 }
 
+// buf returns the scratch buffer resized to hold n elements, growing it
+// only when a longer access than any before it arrives.
+func (a *Array) buf(n int) []byte {
+	if cap(a.scratch) < n*8 {
+		a.scratch = make([]byte, n*8)
+	}
+	return a.scratch[:n*8]
+}
+
 // Read copies elements [off, off+len(dst)) into dst.
 func (a *Array) Read(dst []float64, off int) error {
 	if err := a.check(off, len(dst)); err != nil {
 		return err
 	}
-	buf := make([]byte, len(dst)*8)
+	buf := a.buf(len(dst))
 	if err := a.space.Read(a.base+uint64(off)*8, buf); err != nil {
 		return err
 	}
@@ -94,7 +108,7 @@ func (a *Array) Write(src []float64, off int) error {
 	if err := a.check(off, len(src)); err != nil {
 		return err
 	}
-	buf := make([]byte, len(src)*8)
+	buf := a.buf(len(src))
 	for i, v := range src {
 		binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(v))
 	}

@@ -16,6 +16,20 @@ type Stencil2D struct {
 	a, b   *Array
 	work   *Array // staging row: fully rewritten before any read, every sweep
 	iter   int
+
+	// Step's row window, allocated once so a sweep allocates nothing.
+	up, mid, down, out []float64
+}
+
+func newStencil2D(nx, ny int, a, b, work *Array, iter int) *Stencil2D {
+	rows := make([]float64, 4*nx)
+	return &Stencil2D{
+		nx: nx, ny: ny, a: a, b: b, work: work, iter: iter,
+		up:   rows[0*nx : 1*nx : 1*nx],
+		mid:  rows[1*nx : 2*nx : 2*nx],
+		down: rows[2*nx : 3*nx : 3*nx],
+		out:  rows[3*nx : 4*nx : 4*nx],
+	}
 }
 
 // NewStencil2D allocates the two grid buffers in space, with boundary
@@ -36,7 +50,7 @@ func NewStencil2D(space *mem.AddressSpace, nx, ny int, boundary float64) (*Stenc
 	if err != nil {
 		return nil, err
 	}
-	s := &Stencil2D{nx: nx, ny: ny, a: a, b: b, work: work}
+	s := newStencil2D(nx, ny, a, b, work, 0)
 	// Boundary rows/columns hold the boundary value in both buffers.
 	row := make([]float64, nx)
 	for i := range row {
@@ -76,7 +90,7 @@ func AttachStencil2D(space *mem.AddressSpace, nx, ny, iter int) (*Stencil2D, err
 	if err != nil {
 		return nil, err
 	}
-	return &Stencil2D{nx: nx, ny: ny, a: bufs[0], b: bufs[1], work: bufs[2], iter: iter}, nil
+	return newStencil2D(nx, ny, bufs[0], bufs[1], bufs[2], iter), nil
 }
 
 // SetRow writes initial conditions into row y of *both* buffers, so the
@@ -113,10 +127,7 @@ func (s *Stencil2D) Iter() int { return s.iter }
 // Step performs one Jacobi sweep: next[y][x] = mean of cur's 4 neighbours.
 func (s *Stencil2D) Step() error {
 	cur, nxt := s.Cur(), s.next()
-	up := make([]float64, s.nx)
-	mid := make([]float64, s.nx)
-	down := make([]float64, s.nx)
-	out := make([]float64, s.nx)
+	up, mid, down, out := s.up, s.mid, s.down, s.out
 	if err := cur.Read(mid, 0); err != nil {
 		return err
 	}

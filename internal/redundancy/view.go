@@ -219,7 +219,7 @@ func (v *RecoveryView) rebuild(rank int, seq uint64, key string) ([]byte, error)
 	// (e.g. a MirrorStore short of quorum) doesn't fail the read, it
 	// just records the miss.
 	out := recovered[key]
-	if err := h.local[rank].Put(key, append([]byte(nil), out...)); err != nil {
+	if err := h.local[rank].Put(key, out); err != nil {
 		v.stats.RepairWriteFailures++
 	} else {
 		v.stats.RepairedBack++

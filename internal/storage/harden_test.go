@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/des"
@@ -67,6 +68,35 @@ func TestIntegrityStoreDetectsTornAndFlippedWrites(t *testing.T) {
 	// Missing keys still classify as not-found, not corrupt.
 	if _, err := s.Get("absent"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("missing key err = %v, want ErrNotFound", err)
+	}
+}
+
+// Concurrent Puts through one IntegrityStore share its seal buffer;
+// every value must still land intact under its own key.
+func TestIntegrityStoreConcurrentPuts(t *testing.T) {
+	s := NewIntegrityStore(NewMemStore())
+	value := func(g, i int) []byte { return bytes.Repeat([]byte{byte(g*64 + i)}, 100+g*37+i) }
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if err := s.Put(fmt.Sprintf("g%d/k%d", g, i), value(g, i)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for g := 0; g < 4; g++ {
+		for i := 0; i < 50; i++ {
+			got, err := s.Get(fmt.Sprintf("g%d/k%d", g, i))
+			if err != nil || !bytes.Equal(got, value(g, i)) {
+				t.Fatalf("g%d/k%d: got %d bytes, err %v; want %d intact bytes", g, i, len(got), err, len(value(g, i)))
+			}
+		}
 	}
 }
 

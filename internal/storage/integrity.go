@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
+	"sync"
 )
 
 // Integrity envelope: every segment persisted through an IntegrityStore
@@ -27,19 +29,23 @@ const (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Seal frames data in an integrity envelope.
+// Seal frames data in an integrity envelope, returning a fresh slice.
 func Seal(data []byte) []byte {
-	out := make([]byte, envelopeHeader+len(data))
-	copy(out, envelopeMagic)
-	le := binary.LittleEndian
-	le.PutUint32(out[4:8], envelopeVersion)
-	le.PutUint64(out[8:16], uint64(len(data)))
-	le.PutUint32(out[16:20], crc32.Checksum(data, castagnoli))
-	copy(out[envelopeHeader:], data)
-	return out
+	return appendSeal(make([]byte, 0, envelopeHeader+len(data)), data)
 }
 
-// Open verifies an envelope produced by Seal and returns the payload.
+// appendSeal appends data's integrity envelope to dst.
+func appendSeal(dst, data []byte) []byte {
+	le := binary.LittleEndian
+	dst = append(dst, envelopeMagic...)
+	dst = le.AppendUint32(dst, envelopeVersion)
+	dst = le.AppendUint64(dst, uint64(len(data)))
+	dst = le.AppendUint32(dst, crc32.Checksum(data, castagnoli))
+	return append(dst, data...)
+}
+
+// Open verifies an envelope produced by Seal and returns the payload, a
+// view into frame rather than a copy.
 // Any structural mismatch — short frame, bad magic, unknown version,
 // length mismatch (a torn write), checksum mismatch (bit rot) — reports
 // ErrCorrupt with the reason wrapped in.
@@ -68,8 +74,15 @@ func Open(frame []byte) ([]byte, error) {
 // IntegrityStore wraps a Store, sealing every value on Put and verifying
 // it on Get. Corruption detected on Get is reported as ErrCorrupt; the
 // Stats counter records how many reads failed verification.
+//
+// Put seals into one buffer the store reuses for every value, which the
+// Store contract makes safe: the inner store does not keep the envelope
+// after its Put returns. A mutex serialises Puts over that buffer.
 type IntegrityStore struct {
 	inner Store
+
+	mu      sync.Mutex
+	sealBuf []byte
 
 	corruptReads uint64
 }
@@ -81,7 +94,10 @@ func NewIntegrityStore(inner Store) *IntegrityStore {
 
 // Put implements Store.
 func (s *IntegrityStore) Put(key string, data []byte) error {
-	return s.inner.Put(key, Seal(data))
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.sealBuf = appendSeal(slices.Grow(s.sealBuf[:0], envelopeHeader+len(data)), data)
+	return s.inner.Put(key, s.sealBuf)
 }
 
 // Get implements Store, verifying the envelope before returning.

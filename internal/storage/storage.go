@@ -118,11 +118,21 @@ func (m Model) Headroom(requiredBps float64) float64 {
 }
 
 // Store persists named checkpoint segments.
+//
+// Buffer ownership: Put does not keep data, or any slice of it, after it
+// returns — an implementation copies or writes out what it stores, and a
+// wrapper hands data on only synchronously — so a caller may reuse or
+// overwrite data as soon as Put returns. Get returns a slice the caller
+// owns: nothing else holds it, and modifying it cannot change the stored
+// value. Checkpointers and integrity envelopes encode into reused
+// buffers, and segment decoding returns views into Get results, on the
+// strength of this contract. storagetest.Ownership checks it.
 type Store interface {
-	// Put stores data under key, replacing any previous value.
+	// Put stores data under key, replacing any previous value. It does
+	// not keep data after it returns.
 	Put(key string, data []byte) error
-	// Get retrieves the data stored under key. A missing key reports
-	// ErrNotFound (wrapped).
+	// Get retrieves the data stored under key into a slice the caller
+	// owns. A missing key reports ErrNotFound (wrapped).
 	Get(key string) ([]byte, error)
 	// Delete removes key. Deleting a missing key reports ErrNotFound
 	// (wrapped).
