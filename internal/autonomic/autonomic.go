@@ -117,8 +117,6 @@ type Config struct {
 	Store storage.Store
 	// Seed drives failure times deterministically.
 	Seed uint64
-	// MaxFailures aborts pathological runs (0 → 1000).
-	MaxFailures int
 
 	// NetFaults, when non-nil, runs the team over a flaky interconnect:
 	// per-link drop and duplication, delay jitter, and degradation
@@ -130,11 +128,9 @@ type Config struct {
 	// measured detection latency of each failure is added to its
 	// downtime and recorded in the report. With the detector off, the
 	// supervisor notices failures immediately — the paper's idealised
-	// constant-overhead assumption.
+	// constant-overhead assumption. A peer is declared dead after four
+	// periods of heartbeat silence.
 	HeartbeatPeriod des.Time
-	// HeartbeatTimeout declares a peer dead after this much heartbeat
-	// silence (0 → 4×HeartbeatPeriod).
-	HeartbeatTimeout des.Time
 	// Engine, when non-nil, hosts the run on an existing (fresh, clock
 	// at zero) engine instead of a private one. Chaos wiring needs this:
 	// a chaos.Driver binds to an engine before Run, so the driver's
@@ -157,9 +153,6 @@ type Config struct {
 	// lines, so a mid-checkpoint failure can never surface a line the
 	// key space merely advertises.
 	TwoPhaseCommit bool
-	// CommitTimeout aborts a two-phase round whose acks straggle past
-	// this guard (0 disables; only meaningful with TwoPhaseCommit).
-	CommitTimeout des.Time
 	// RDMA, when non-nil, runs the team over an OS-bypass interconnect
 	// (mpi.Direct with registered memory regions): one-sided NIC writes
 	// land without raising tracker faults. Mode selects naive
@@ -173,12 +166,6 @@ type Config struct {
 	// run on every re-attach before the team resumes. The workload
 	// must implement SpecBound to participate; others run unchanged.
 	Spec *ckptspec.Spec
-	// Shards, when > 1, hosts the run on the control engine of a shard
-	// group of that size instead of a standalone engine (ignored when
-	// Engine is set). Supervisor, team and chaos events all run at the
-	// group's serial instants, so the execution — and every digest —
-	// is bit-identical to a sequential run at any shard count.
-	Shards int
 	// MultiLevel, when non-nil, runs the checkpoint hierarchy: ranks
 	// commit to rank-local L1 stores, every committed line is parity-
 	// protected across ranks by the configured erasure scheme (L2), and
@@ -198,6 +185,14 @@ type Config struct {
 type SpecBound interface {
 	ProtectionBindings(rank int) []ckptspec.Binding
 }
+
+const (
+	// maxFailures aborts pathological runs.
+	maxFailures = 1000
+	// heartbeatTimeoutPeriods is the heartbeat silence, in periods,
+	// after which the failure detector declares a peer dead.
+	heartbeatTimeoutPeriods = 4
+)
 
 func (c Config) withDefaults() Config {
 	if c.Nx == 0 {
@@ -224,17 +219,11 @@ func (c Config) withDefaults() Config {
 	if c.Sink == (storage.Model{}) {
 		c.Sink = storage.SCSISink()
 	}
-	if c.MaxFailures == 0 {
-		c.MaxFailures = 1000
-	}
 	if c.Workload == nil {
 		c.Workload = StencilFactory{
 			Nx: c.Nx, RowsPerRank: c.RowsPerRank,
 			Boundary: c.Boundary, ComputeTime: c.ComputeTime,
 		}
-	}
-	if c.HeartbeatPeriod > 0 && c.HeartbeatTimeout == 0 {
-		c.HeartbeatTimeout = 4 * c.HeartbeatPeriod
 	}
 	if c.RDMA != nil {
 		opts := c.RDMA.withDefaults()
@@ -488,11 +477,7 @@ func Run(cfg Config) (*Report, error) {
 	}
 	eng := cfg.Engine
 	if eng == nil {
-		if cfg.Shards > 1 {
-			eng = des.NewGroup(cfg.Shards).Control()
-		} else {
-			eng = des.NewEngine()
-		}
+		eng = des.NewEngine()
 	}
 	if cfg.Chaos != nil {
 		// Fold the plan's partition/brownout windows into the interconnect
@@ -590,7 +575,7 @@ func (s *Supervisor) buildTeam(spaces []*mem.AddressSpace, startIter int) (*team
 		if cfg.MultiLevel != nil {
 			// Under multi-level the commit pause is a *local* device
 			// write: ranks persist to their own L1, not the shared sink.
-			opts.Sink = cfg.MultiLevel.LocalSink
+			opts.Sink = storage.NVMeSink()
 			opts.FullEvery = cfg.MultiLevel.FullEvery
 		}
 		c, err := ckpt.NewCheckpointer(s.eng, spaces[i], opts)
@@ -625,7 +610,7 @@ func (s *Supervisor) buildTeam(spaces []*mem.AddressSpace, startIter int) (*team
 	if cfg.HeartbeatPeriod > 0 && cfg.Ranks > 1 {
 		t.det, err = cluster.NewDetector(s.eng, world, cluster.DetectorConfig{
 			Period:  cfg.HeartbeatPeriod,
-			Timeout: cfg.HeartbeatTimeout,
+			Timeout: heartbeatTimeoutPeriods * cfg.HeartbeatPeriod,
 		})
 		if err != nil {
 			return nil, err
@@ -728,7 +713,7 @@ func (s *Supervisor) commitLine(t *team, iter int, cont func()) {
 // so the full round is a measured pause, not a modelled one.
 func (s *Supervisor) beginTwoPhase(t *team, iter int, next func()) {
 	ackDelay := 2 * mpi.QsNet().Latency
-	t.co.BeginTwoPhase(ckpt.TwoPhaseOptions{Timeout: s.cfg.CommitTimeout, AckDelay: ackDelay},
+	t.co.BeginTwoPhase(ckpt.TwoPhaseOptions{AckDelay: ackDelay},
 		func(g ckpt.GlobalResult, err error) {
 			if err != nil {
 				if errors.Is(err, ckpt.ErrCommitAborted) {
@@ -826,8 +811,8 @@ func (s *Supervisor) onFailure() {
 	if s.report.Completed || s.failed != nil {
 		return
 	}
-	if s.report.Failures >= s.cfg.MaxFailures {
-		s.fail(fmt.Errorf("autonomic: exceeded %d failures", s.cfg.MaxFailures))
+	if s.report.Failures >= maxFailures {
+		s.fail(fmt.Errorf("autonomic: exceeded %d failures", maxFailures))
 		return
 	}
 	s.report.Failures++
@@ -943,7 +928,7 @@ func (s *Supervisor) abandonDetection(t *team) {
 	t.det.Stop()
 	s.report.FalseSuspicions += t.det.FalseSuspicions()
 	failIter := s.pendingFailIter
-	s.eng.After(s.cfg.HeartbeatTimeout, func() {
+	s.eng.After(heartbeatTimeoutPeriods*s.cfg.HeartbeatPeriod, func() {
 		if s.report.Completed || s.failed != nil || s.cur != nil || s.pendingRecovery.Pending() {
 			return
 		}

@@ -38,8 +38,6 @@ type MultiLevelOptions struct {
 	// FullEvery is the checkpointer epoch length (0 → one full segment
 	// per incarnation, deltas after).
 	FullEvery int
-	// LocalSink models the rank-local (L1) device; zero → NVMe.
-	LocalSink storage.Model
 	// CorruptParityAt lists lines whose freshly placed parity shard is
 	// bit-flipped right after the encode — the injected at-rest rot that
 	// must degrade the rebuild to L3, never tear a restore.
@@ -47,9 +45,6 @@ type MultiLevelOptions struct {
 }
 
 func (o MultiLevelOptions) withDefaults(ranks int) (MultiLevelOptions, error) {
-	if o.LocalSink == (storage.Model{}) {
-		o.LocalSink = storage.NVMeSink()
-	}
 	if o.GlobalEvery < 1 {
 		o.GlobalEvery = 1
 	}
@@ -199,7 +194,7 @@ func (s *Supervisor) selectAndRestoreTiered() (spaces []*mem.AddressSpace, line 
 		st := view.Stats()
 		var lr [redundancy.LevelCount]des.Time
 		if n := st.LevelBytes[redundancy.LevelLocal]; n > 0 {
-			lr[redundancy.LevelLocal] = s.cfg.MultiLevel.LocalSink.WriteTime(n)
+			lr[redundancy.LevelLocal] = storage.NVMeSink().WriteTime(n)
 		}
 		if n := st.LevelBytes[redundancy.LevelParity]; n > 0 {
 			lr[redundancy.LevelParity] = mpi.QsNet().TransferTime(n)

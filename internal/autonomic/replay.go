@@ -85,9 +85,6 @@ func ValidateReplayStore(cfg Config, sched *chaos.Schedule, build func(*des.Engi
 	}
 
 	eng := des.NewEngine()
-	if cfg.Shards > 1 {
-		eng = des.NewGroup(cfg.Shards).Control()
-	}
 	driver := chaos.NewDriver(eng, plan)
 	inj := cfg
 	inj.MTBF = 0

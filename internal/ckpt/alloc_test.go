@@ -60,3 +60,18 @@ func TestDecodeSegmentViewsRawPages(t *testing.T) {
 		t.Fatalf("page view has spare capacity %d: an append could overwrite the next record", cap(p.Data)-len(p.Data))
 	}
 }
+
+// TestZeroAllocDecodeCommitMarker pins the commit-marker parse: the
+// wire.Reader stays on the stack, so a successful decode allocates
+// nothing.
+func TestZeroAllocDecodeCommitMarker(t *testing.T) {
+	enc := EncodeCommitMarker(CommitMarker{Seq: 42, Ranks: 64, At: 9})
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := DecodeCommitMarker(enc); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("DecodeCommitMarker allocates %v/op, want 0", allocs)
+	}
+}

@@ -24,6 +24,7 @@ import (
 
 	"repro/internal/des"
 	"repro/internal/storage"
+	"repro/internal/wire"
 )
 
 // ErrCommitAborted reports a two-phase global checkpoint rolled back
@@ -51,7 +52,8 @@ type CommitMarker struct {
 // CommitKey returns the store key of seq's COMMIT marker.
 func CommitKey(seq uint64) string { return fmt.Sprintf("commit/seq%06d", seq) }
 
-// ParseCommitKey parses a key written by CommitKey.
+// ParseCommitKey parses a key written by CommitKey; the sequence is
+// digits only.
 func ParseCommitKey(key string, seq *uint64) bool {
 	rest, ok := strings.CutPrefix(key, "commit/seq")
 	if !ok {
@@ -76,23 +78,22 @@ func EncodeCommitMarker(m CommitMarker) []byte {
 	return buf
 }
 
+// errBadMarker is the class of every commit-marker parse failure.
+var errBadMarker = errors.New("ckpt: malformed commit marker")
+
 // DecodeCommitMarker parses a marker, returning a typed error on any
 // corruption; it never panics on hostile input.
 func DecodeCommitMarker(data []byte) (CommitMarker, error) {
-	if len(data) != commitMarkerSize {
-		return CommitMarker{}, fmt.Errorf("ckpt: commit marker is %d bytes, want %d", len(data), commitMarkerSize)
+	r := wire.NewReader(data, errBadMarker)
+	r.Magic(commitMagic)
+	if v := r.U8(); v != commitVersion {
+		r.Fail("unsupported version %d", v)
 	}
-	if string(data[:4]) != commitMagic {
-		return CommitMarker{}, fmt.Errorf("ckpt: bad commit marker magic")
+	m := CommitMarker{Seq: r.U64(), Ranks: int(r.U32()), At: des.Time(r.U64())}
+	if err := r.Done(); err != nil {
+		return CommitMarker{}, err
 	}
-	if data[4] != commitVersion {
-		return CommitMarker{}, fmt.Errorf("ckpt: unsupported commit marker version %d", data[4])
-	}
-	return CommitMarker{
-		Seq:   binary.LittleEndian.Uint64(data[5:13]),
-		Ranks: int(binary.LittleEndian.Uint32(data[13:17])),
-		At:    des.Time(binary.LittleEndian.Uint64(data[17:25])),
-	}, nil
+	return m, nil
 }
 
 // TwoPhaseOptions parameterises one prepare/commit round.

@@ -135,6 +135,26 @@ func FuzzParseSegmentKey(f *testing.F) {
 	})
 }
 
+// FuzzParseCommitKey: any key the parser accepts formats back to a key
+// that parses to the same sequence.
+func FuzzParseCommitKey(f *testing.F) {
+	f.Add(CommitKey(0))
+	f.Add(CommitKey(123456))
+	f.Add("commit/seq-1")
+	f.Add("commit/seq+1")
+	f.Add(SegmentKey(0, 1))
+	f.Add("")
+	f.Fuzz(func(t *testing.T, key string) {
+		var seq, seq2 uint64
+		if !ParseCommitKey(key, &seq) {
+			return
+		}
+		if !ParseCommitKey(CommitKey(seq), &seq2) || seq2 != seq {
+			t.Fatalf("parse/format unstable: %q -> %d -> %q", key, seq, CommitKey(seq))
+		}
+	})
+}
+
 func FuzzDecodeCommitMarker(f *testing.F) {
 	f.Add(EncodeCommitMarker(CommitMarker{Seq: 0, Ranks: 1, At: 0}))
 	f.Add(EncodeCommitMarker(CommitMarker{Seq: 42, Ranks: 64, At: 9 * des.Second}))

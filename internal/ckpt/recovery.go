@@ -37,7 +37,7 @@ func LatestConsistentSeq(store storage.Store, ranks int) (seq uint64, ok bool, e
 		if !ParseSegmentKey(k, &rank, &s) {
 			continue
 		}
-		if rank < 0 || rank >= ranks {
+		if rank >= ranks {
 			continue
 		}
 		if !seen[rank] || s > maxSeq[rank] {
@@ -65,14 +65,15 @@ func SegmentKey(rank int, seq uint64) string {
 }
 
 // ParseSegmentKey parses a store key of the form "rankNNN/segNNNNNN",
-// the layout written by Checkpointer.Checkpoint. Either out-pointer may
-// be nil when the caller only needs the other field (or just the match).
+// the layout written by Checkpointer.Checkpoint. Both numbers are digits
+// only, so a parsed rank is never negative. Either out-pointer may be
+// nil when the caller only needs the other field (or just the match).
 func ParseSegmentKey(key string, rank *int, seq *uint64) bool {
 	parts := strings.Split(key, "/")
 	if len(parts) != 2 || !strings.HasPrefix(parts[0], "rank") || !strings.HasPrefix(parts[1], "seg") {
 		return false
 	}
-	r, err := strconv.Atoi(strings.TrimPrefix(parts[0], "rank"))
+	r, err := strconv.ParseUint(strings.TrimPrefix(parts[0], "rank"), 10, strconv.IntSize-1)
 	if err != nil {
 		return false
 	}
@@ -81,7 +82,7 @@ func ParseSegmentKey(key string, rank *int, seq *uint64) bool {
 		return false
 	}
 	if rank != nil {
-		*rank = r
+		*rank = int(r)
 	}
 	if seq != nil {
 		*seq = s
@@ -106,7 +107,7 @@ func Prune(store storage.Store, ranks int) (deleted int, reclaimed uint64, err e
 	for _, k := range keys {
 		var rank int
 		var s uint64
-		if !ParseSegmentKey(k, &rank, &s) || rank < 0 || rank >= ranks {
+		if !ParseSegmentKey(k, &rank, &s) || rank >= ranks {
 			continue
 		}
 		if !seen[rank] || s > newest[rank] {

@@ -1,9 +1,6 @@
 package ckpt
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "repro/internal/wire"
 
 // Run-length encoding for page payloads. Checkpointed pages of scientific
 // codes are full of repeated values (zero-initialised arrays, constant
@@ -59,40 +56,29 @@ func rleCompress(src []byte) []byte {
 // rleDecompress decodes a stream produced by rleCompress into a buffer of
 // exactly want bytes.
 func rleDecompress(src []byte, want int) ([]byte, error) {
+	r := wire.NewReader(src, errBadSegment)
 	out := make([]byte, 0, want)
-	i := 0
-	for i < len(src) {
-		if i+3 > len(src) {
-			return nil, fmt.Errorf("ckpt: truncated RLE stream at %d", i)
-		}
-		op := src[i]
-		n := int(binary.LittleEndian.Uint16(src[i+1 : i+3]))
-		i += 3
-		switch op {
+	for r.Len() > 0 {
+		switch op, n := r.U8(), int(r.U16()); op {
 		case 0x00:
-			if i >= len(src) {
-				return nil, fmt.Errorf("ckpt: truncated RLE run at %d", i)
-			}
-			v := src[i]
-			i++
+			v := r.U8()
 			for k := 0; k < n; k++ {
 				out = append(out, v)
 			}
 		case 0x01:
-			if i+n > len(src) {
-				return nil, fmt.Errorf("ckpt: truncated RLE literal at %d", i)
-			}
-			out = append(out, src[i:i+n]...)
-			i += n
+			out = append(out, r.Bytes(n)...)
 		default:
-			return nil, fmt.Errorf("ckpt: bad RLE opcode %#x at %d", op, i-3)
+			r.Fail("bad RLE opcode %#x", op)
 		}
 		if len(out) > want {
-			return nil, fmt.Errorf("ckpt: RLE output exceeds page size")
+			r.Fail("RLE output exceeds page size")
 		}
 	}
 	if len(out) != want {
-		return nil, fmt.Errorf("ckpt: RLE output %d bytes, want %d", len(out), want)
+		r.Fail("RLE output %d bytes, want %d", len(out), want)
+	}
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -11,10 +11,11 @@ package ckpt
 
 import (
 	"encoding/binary"
-	"fmt"
+	"errors"
 
 	"repro/internal/des"
 	"repro/internal/mem"
+	"repro/internal/wire"
 )
 
 // Kind distinguishes full from incremental segments.
@@ -174,170 +175,85 @@ func (s *Segment) appendEncode(dst []byte, compress bool) ([]byte, uint64) {
 	return buf, payload
 }
 
-// decoder is a bounds-checked little-endian reader.
-type decoder struct {
-	b   []byte
-	off int
-}
-
-func (d *decoder) need(n int) ([]byte, error) {
-	if d.off+n > len(d.b) {
-		return nil, fmt.Errorf("ckpt: truncated segment at offset %d (need %d of %d)", d.off, n, len(d.b))
-	}
-	out := d.b[d.off : d.off+n]
-	d.off += n
-	return out, nil
-}
-
-func (d *decoder) u8() (byte, error) {
-	b, err := d.need(1)
-	if err != nil {
-		return 0, err
-	}
-	return b[0], nil
-}
-
-func (d *decoder) u32() (uint32, error) {
-	b, err := d.need(4)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b), nil
-}
-
-func (d *decoder) u64() (uint64, error) {
-	b, err := d.need(8)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b), nil
-}
+// errBadSegment is the class of every segment and RLE-stream parse
+// failure.
+var errBadSegment = errors.New("ckpt: malformed segment")
 
 // DecodeSegment parses a segment encoded by Encode, validating structure
 // and bounds. It decodes in place: the Data of every raw page aliases
 // data, so the caller must not modify data while the segment is in use.
 // RLE-compressed pages are decompressed into fresh slices.
 func DecodeSegment(data []byte) (*Segment, error) {
-	d := &decoder{b: data}
-	magic, err := d.need(4)
-	if err != nil || string(magic) != segmentMagic {
-		return nil, fmt.Errorf("ckpt: bad magic")
+	r := wire.NewReader(data, errBadSegment)
+	r.Magic(segmentMagic)
+	if v := r.U32(); v != segmentVersion {
+		r.Fail("unsupported version %d", v)
 	}
-	ver, err := d.u32()
-	if err != nil || ver != segmentVersion {
-		return nil, fmt.Errorf("ckpt: unsupported version %d", ver)
+	s := &Segment{
+		Rank:        int(r.U32()),
+		Seq:         r.U64(),
+		Epoch:       r.U64(),
+		Kind:        Kind(r.U8()),
+		ContentFree: r.U8() != 0,
+		PageSize:    r.U64(),
+		TakenAt:     des.Time(r.U64()),
 	}
-	s := &Segment{}
-	rank, err := d.u32()
-	if err != nil {
-		return nil, err
-	}
-	s.Rank = int(rank)
-	if s.Seq, err = d.u64(); err != nil {
-		return nil, err
-	}
-	if s.Epoch, err = d.u64(); err != nil {
-		return nil, err
-	}
-	k, err := d.u8()
-	if err != nil {
-		return nil, err
-	}
-	if k > uint8(Incremental) {
-		return nil, fmt.Errorf("ckpt: bad segment kind %d", k)
-	}
-	s.Kind = Kind(k)
-	cf, err := d.u8()
-	if err != nil {
-		return nil, err
-	}
-	s.ContentFree = cf != 0
-	if s.PageSize, err = d.u64(); err != nil {
-		return nil, err
+	if s.Kind > Incremental {
+		r.Fail("bad segment kind %d", s.Kind)
 	}
 	if s.PageSize == 0 || s.PageSize > 1<<30 {
-		return nil, fmt.Errorf("ckpt: implausible page size %d", s.PageSize)
+		r.Fail("implausible page size %d", s.PageSize)
 	}
-	at, err := d.u64()
-	if err != nil {
+	nr := r.U32()
+	if uint64(nr)*17 > uint64(r.Len()) {
+		r.Fail("region count %d exceeds segment size", nr)
+	}
+	if err := r.Err(); err != nil {
 		return nil, err
-	}
-	s.TakenAt = des.Time(at)
-	nr, err := d.u32()
-	if err != nil {
-		return nil, err
-	}
-	if uint64(nr)*17 > uint64(len(data)) {
-		return nil, fmt.Errorf("ckpt: region count %d exceeds segment size", nr)
 	}
 	s.Regions = make([]RegionInfo, nr)
 	for i := range s.Regions {
-		if s.Regions[i].Start, err = d.u64(); err != nil {
-			return nil, err
-		}
-		if s.Regions[i].Size, err = d.u64(); err != nil {
-			return nil, err
-		}
-		rk, err := d.u8()
-		if err != nil {
-			return nil, err
-		}
-		s.Regions[i].Kind = mem.Kind(rk)
+		s.Regions[i] = RegionInfo{Start: r.U64(), Size: r.U64(), Kind: mem.Kind(r.U8())}
 	}
-	np, err := d.u64()
-	if err != nil {
-		return nil, err
-	}
+	np := r.U64()
 	// Every page record costs at least its address (plus a flag byte
 	// unless content-free), so np is bounded by the bytes actually left.
 	minRec := uint64(9)
 	if s.ContentFree {
 		minRec = 8
 	}
-	if np > uint64(len(data)-d.off)/minRec {
-		return nil, fmt.Errorf("ckpt: page count %d exceeds segment size", np)
+	if np > uint64(r.Len())/minRec {
+		r.Fail("page count %d exceeds segment size", np)
+	}
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	s.Pages = make([]PageRecord, 0, np)
-	for i := uint64(0); i < np; i++ {
-		var p PageRecord
-		if p.Addr, err = d.u64(); err != nil {
-			return nil, err
-		}
+	for i := uint64(0); i < np && r.Err() == nil; i++ {
+		p := PageRecord{Addr: r.U64()}
 		if !s.ContentFree {
-			flag, err := d.u8()
-			if err != nil {
-				return nil, err
-			}
-			switch flag {
+			switch flag := r.U8(); flag {
 			case pageZero:
 				// elided zero page
 			case pageHasData:
-				raw, err := d.need(int(s.PageSize))
-				if err != nil {
-					return nil, err
-				}
-				p.Data = raw[:len(raw):len(raw)]
+				p.Data = r.Bytes(int(s.PageSize))
 			case pageRLE:
-				n, err := d.u32()
-				if err != nil {
-					return nil, err
+				stream := r.Bytes(int(r.U32()))
+				if r.Err() != nil {
+					break
 				}
-				stream, err := d.need(int(n))
-				if err != nil {
-					return nil, err
-				}
-				p.Data, err = rleDecompress(stream, int(s.PageSize))
-				if err != nil {
+				var err error
+				if p.Data, err = rleDecompress(stream, int(s.PageSize)); err != nil {
 					return nil, err
 				}
 			default:
-				return nil, fmt.Errorf("ckpt: bad page flag %d", flag)
+				r.Fail("bad page flag %d", flag)
 			}
 		}
 		s.Pages = append(s.Pages, p)
 	}
-	if d.off != len(data) {
-		return nil, fmt.Errorf("ckpt: %d trailing bytes", len(data)-d.off)
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return s, nil
 }

@@ -98,7 +98,7 @@ func LatestVerifiableSeq(store storage.Store, ranks int) (seq uint64, ok bool, e
 	for _, k := range keys {
 		var rank int
 		var s uint64
-		if !ParseSegmentKey(k, &rank, &s) || rank < 0 || rank >= ranks {
+		if !ParseSegmentKey(k, &rank, &s) || rank >= ranks {
 			continue
 		}
 		perRank[rank][s] = true

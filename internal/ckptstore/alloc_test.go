@@ -39,3 +39,17 @@ func TestDecodeFrameAllocsIndependentOfPayload(t *testing.T) {
 		t.Fatalf("DecodeFrame allocates %d B/op for a 64 KiB payload, %d B/op for 16 B: the payload is copied", largeBytes, smallBytes)
 	}
 }
+
+// TestZeroAllocDecodeSize pins the Size payload parse: a successful
+// decode allocates nothing.
+func TestZeroAllocDecodeSize(t *testing.T) {
+	payload := encodeSize(12345)
+	allocs := testing.AllocsPerRun(100, func() {
+		if n, err := decodeSize(payload); err != nil || n != 12345 {
+			t.Fatalf("decodeSize = %d, %v", n, err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("decodeSize allocates %v/op, want 0", allocs)
+	}
+}

@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/des"
 	"repro/internal/storage"
+	"repro/internal/wire"
 )
 
 // ErrBadFrame reports a service frame that does not parse: wrong magic,
@@ -191,49 +192,34 @@ func (f *Frame) appendEncode(out []byte) []byte {
 // when the payload is empty): the caller must not modify b while the
 // frame is in use, and owns the payload exactly when it owns b.
 func DecodeFrame(b []byte) (*Frame, error) {
-	if len(b) < frameHeaderLen {
-		return nil, fmt.Errorf("%w: %d bytes, want >= %d", ErrBadFrame, len(b), frameHeaderLen)
+	r := wire.NewReader(b, ErrBadFrame)
+	r.Magic(frameMagic)
+	if v := r.U8(); v != frameVersion {
+		r.Fail("unknown version %d", v)
 	}
-	if string(b[:4]) != frameMagic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrBadFrame, b[:4])
-	}
-	if b[4] != frameVersion {
-		return nil, fmt.Errorf("%w: unknown version %d", ErrBadFrame, b[4])
-	}
-	f := &Frame{Kind: b[5], Op: Op(b[6]), Status: Status(b[7])}
+	f := &Frame{Kind: r.U8(), Op: Op(r.U8()), Status: Status(r.U8())}
 	if f.Kind != KindRequest && f.Kind != KindResponse {
-		return nil, fmt.Errorf("%w: unknown kind %d", ErrBadFrame, f.Kind)
+		r.Fail("unknown kind %d", f.Kind)
 	}
 	if f.Op < OpPut || f.Op > OpSize {
-		return nil, fmt.Errorf("%w: unknown op %d", ErrBadFrame, uint8(f.Op))
+		r.Fail("unknown op %d", uint8(f.Op))
 	}
 	if f.Status > StatusDeadline {
-		return nil, fmt.Errorf("%w: unknown status %d", ErrBadFrame, uint8(f.Status))
+		r.Fail("unknown status %d", uint8(f.Status))
 	}
 	if f.Kind == KindRequest && f.Status != StatusOK {
-		return nil, fmt.Errorf("%w: request carries status %d", ErrBadFrame, uint8(f.Status))
+		r.Fail("request carries status %d", uint8(f.Status))
 	}
-	f.Client = binary.LittleEndian.Uint32(b[8:])
-	f.ID = binary.LittleEndian.Uint64(b[12:])
-	dl := binary.LittleEndian.Uint64(b[20:])
-	if int64(dl) < 0 {
-		return nil, fmt.Errorf("%w: negative deadline", ErrBadFrame)
+	f.Client, f.ID, f.Deadline = r.U32(), r.U64(), des.Time(r.U64())
+	if f.Deadline < 0 {
+		r.Fail("negative deadline")
 	}
-	f.Deadline = des.Time(dl)
-	keyLen := int(binary.LittleEndian.Uint16(b[28:]))
-	rest := b[30:]
-	if len(rest) < keyLen+4 {
-		return nil, fmt.Errorf("%w: truncated key", ErrBadFrame)
+	f.Key = string(r.Bytes(int(r.U16())))
+	if payload := r.Bytes(int(r.U32())); len(payload) > 0 {
+		f.Payload = payload
 	}
-	f.Key = string(rest[:keyLen])
-	rest = rest[keyLen:]
-	payLen := int(binary.LittleEndian.Uint32(rest))
-	rest = rest[4:]
-	if len(rest) != payLen {
-		return nil, fmt.Errorf("%w: payload length %d, have %d bytes", ErrBadFrame, payLen, len(rest))
-	}
-	if payLen > 0 {
-		f.Payload = rest[:payLen:payLen]
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return f, nil
 }
@@ -256,26 +242,14 @@ func encodeKeys(keys []string) []byte {
 
 // decodeKeys unpacks a Keys response payload.
 func decodeKeys(b []byte) ([]string, error) {
-	if len(b) < 4 {
-		return nil, fmt.Errorf("%w: truncated key list", ErrBadFrame)
-	}
-	count := binary.LittleEndian.Uint32(b)
-	b = b[4:]
+	r := wire.NewReader(b, ErrBadFrame)
+	count := r.U32()
 	keys := make([]string, 0, min(count, 1024))
-	for i := uint32(0); i < count; i++ {
-		if len(b) < 2 {
-			return nil, fmt.Errorf("%w: truncated key list", ErrBadFrame)
-		}
-		kl := int(binary.LittleEndian.Uint16(b))
-		b = b[2:]
-		if len(b) < kl {
-			return nil, fmt.Errorf("%w: truncated key list", ErrBadFrame)
-		}
-		keys = append(keys, string(b[:kl]))
-		b = b[kl:]
+	for i := uint32(0); i < count && r.Err() == nil; i++ {
+		keys = append(keys, string(r.Bytes(int(r.U16()))))
 	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after key list", ErrBadFrame, len(b))
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return keys, nil
 }
@@ -287,8 +261,10 @@ func encodeSize(n uint64) []byte {
 
 // decodeSize unpacks a Size response payload.
 func decodeSize(b []byte) (uint64, error) {
-	if len(b) != 8 {
-		return 0, fmt.Errorf("%w: size payload is %d bytes, want 8", ErrBadFrame, len(b))
+	r := wire.NewReader(b, ErrBadFrame)
+	n := r.U64()
+	if err := r.Done(); err != nil {
+		return 0, err
 	}
-	return binary.LittleEndian.Uint64(b), nil
+	return n, nil
 }

@@ -2,6 +2,7 @@ package ckptstore
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 )
 
@@ -54,6 +55,28 @@ func FuzzParseServiceFrame(f *testing.F) {
 		}
 		if !bytes.Equal(fr2.Encode(), enc) {
 			t.Fatal("second round trip diverged")
+		}
+	})
+}
+
+// FuzzDecodeKeys drives the Keys response payload parser: no panic on
+// any input, and every accepted payload re-encodes to exactly its bytes.
+func FuzzDecodeKeys(f *testing.F) {
+	f.Add(encodeKeys(nil))
+	f.Add(encodeKeys([]string{"a", "b"}))
+	f.Add(encodeKeys([]string{"rank000/seg000001", "", "commit/seq000004"}))
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		keys, err := decodeKeys(data)
+		if err != nil {
+			if !errors.Is(err, ErrBadFrame) {
+				t.Fatalf("decode error %v is not ErrBadFrame", err)
+			}
+			return
+		}
+		if enc := encodeKeys(keys); !bytes.Equal(enc, data) {
+			t.Fatalf("decode/encode not canonical:\n in  %x\n out %x", data, enc)
 		}
 	})
 }

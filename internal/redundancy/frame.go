@@ -4,9 +4,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 
 	"repro/internal/storage"
+	"repro/internal/wire"
 )
 
 // Parity-shard wire/storage frame. Every L2 shard placed on a partner
@@ -18,10 +18,10 @@ import (
 // the restore machinery — a corrupt parity shard degrades the read to
 // the next tier instead of producing a torn restore.
 //
-// Layout (big-endian):
+// Layout (little-endian):
 //
 //	magic   "CKPF" (4 bytes)
-//	version u8
+//	version u8    2
 //	group   u32   parity-group id
 //	seq     u64   checkpoint line the shard protects
 //	shard   u8    shard index in [0, k+m): [0,k) data, [k,k+m) parity
@@ -30,7 +30,6 @@ import (
 //	members k × { rank u32, origLen u32, crc u32 }
 //	payload u32 length + bytes (padded shard)
 //	crc     u32   CRC-32C of everything above
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrBadParityFrame reports a parity frame that does not parse: wrong
 // magic, unknown version, truncated fields, inconsistent geometry, or
@@ -39,9 +38,14 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 var ErrBadParityFrame = errors.New("redundancy: malformed parity frame")
 
 const (
-	parityMagic   = "CKPF"
-	parityVersion = 1
+	parityMagic = "CKPF"
+	// parityVersion 2 is the little-endian layout; version 1 frames were
+	// big-endian and are rejected rather than misread.
+	parityVersion = 2
 )
+
+// errBadParity is the class of every parse failure: both sentinels.
+var errBadParity = fmt.Errorf("%w: %w", ErrBadParityFrame, storage.ErrCorrupt)
 
 // MemberRef describes one member segment a parity shard protects.
 type MemberRef struct {
@@ -86,87 +90,58 @@ func EncodeParityFrame(f *ParityFrame) ([]byte, error) {
 	buf := make([]byte, 0, size)
 	buf = append(buf, parityMagic...)
 	buf = append(buf, parityVersion)
-	buf = binary.BigEndian.AppendUint32(buf, f.Group)
-	buf = binary.BigEndian.AppendUint64(buf, f.Seq)
+	buf = binary.LittleEndian.AppendUint32(buf, f.Group)
+	buf = binary.LittleEndian.AppendUint64(buf, f.Seq)
 	buf = append(buf, byte(f.Shard), byte(f.K), byte(f.M))
 	for _, m := range f.Members {
 		if m.Rank < 0 || m.Rank > 1<<31-1 {
 			return nil, fmt.Errorf("redundancy: member rank %d out of range", m.Rank)
 		}
-		buf = binary.BigEndian.AppendUint32(buf, uint32(m.Rank))
-		buf = binary.BigEndian.AppendUint32(buf, m.Length)
-		buf = binary.BigEndian.AppendUint32(buf, m.CRC)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(m.Rank))
+		buf = binary.LittleEndian.AppendUint32(buf, m.Length)
+		buf = binary.LittleEndian.AppendUint32(buf, m.CRC)
 	}
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(f.Payload)))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(f.Payload)))
 	buf = append(buf, f.Payload...)
-	buf = binary.BigEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
+	buf = binary.LittleEndian.AppendUint32(buf, wire.CRC32C(buf))
 	return buf, nil
-}
-
-// badFrame wraps a parse failure in both the frame error and the
-// storage corruption class.
-func badFrame(format string, args ...any) error {
-	return fmt.Errorf("%w: %s: %w", ErrBadParityFrame, fmt.Sprintf(format, args...), storage.ErrCorrupt)
 }
 
 // ParseParityFrame decodes a canonical parity frame. It never panics on
 // arbitrary input; any malformation — including a CRC mismatch — is
-// reported as a wrapped storage.ErrCorrupt.
+// reported as a wrapped storage.ErrCorrupt. The returned Payload is a
+// view into data, not a copy: the caller must not modify data while the
+// frame is in use.
 func ParseParityFrame(data []byte) (*ParityFrame, error) {
-	const fixed = 4 + 1 + 4 + 8 + 1 + 1 + 1
-	if len(data) < fixed+4+4 {
-		return nil, badFrame("%d bytes, need at least %d", len(data), fixed+8)
+	// The CRC trailer covers everything before it; checking it first
+	// keeps the field parse free of corruption cases.
+	trailer := wire.NewReader(data, errBadParity)
+	body := trailer.Bytes(trailer.Len() - 4)
+	if got, want := wire.CRC32C(body), trailer.U32(); got != want {
+		trailer.Fail("frame crc %08x, want %08x", got, want)
 	}
-	if string(data[:4]) != parityMagic {
-		return nil, badFrame("bad magic %q", data[:4])
+	if err := trailer.Done(); err != nil {
+		return nil, err
 	}
-	if data[4] != parityVersion {
-		return nil, badFrame("unknown version %d", data[4])
+	r := wire.NewReader(body, errBadParity)
+	r.Magic(parityMagic)
+	if v := r.U8(); v != parityVersion {
+		r.Fail("unknown version %d", v)
 	}
-	// CRC trailer covers everything before it; checking first keeps the
-	// remaining parse free of corruption cases.
-	body, trailer := data[:len(data)-4], data[len(data)-4:]
-	if got, want := crc32.Checksum(body, castagnoli), binary.BigEndian.Uint32(trailer); got != want {
-		return nil, badFrame("frame crc %08x, want %08x", got, want)
-	}
-	f := &ParityFrame{
-		Group: binary.BigEndian.Uint32(data[5:9]),
-		Seq:   binary.BigEndian.Uint64(data[9:17]),
-		Shard: int(data[17]),
-		K:     int(data[18]),
-		M:     int(data[19]),
-	}
+	f := &ParityFrame{Group: r.U32(), Seq: r.U64(), Shard: int(r.U8()), K: int(r.U8()), M: int(r.U8())}
 	if f.K < 1 || f.M < 1 || f.K+f.M > 255 {
-		return nil, badFrame("geometry k=%d m=%d out of range", f.K, f.M)
+		r.Fail("geometry k=%d m=%d out of range", f.K, f.M)
 	}
 	if f.Shard >= f.K+f.M {
-		return nil, badFrame("shard index %d outside [0, %d)", f.Shard, f.K+f.M)
-	}
-	off := fixed
-	if len(body) < off+12*f.K+4 {
-		return nil, badFrame("truncated member table")
+		r.Fail("shard index %d outside [0, %d)", f.Shard, f.K+f.M)
 	}
 	f.Members = make([]MemberRef, f.K)
 	for i := range f.Members {
-		f.Members[i] = MemberRef{
-			Rank:   int(binary.BigEndian.Uint32(data[off : off+4])),
-			Length: binary.BigEndian.Uint32(data[off+4 : off+8]),
-			CRC:    binary.BigEndian.Uint32(data[off+8 : off+12]),
-		}
-		off += 12
+		f.Members[i] = MemberRef{Rank: int(r.U32()), Length: r.U32(), CRC: r.U32()}
 	}
-	plen := int(binary.BigEndian.Uint32(data[off : off+4]))
-	off += 4
-	if len(body) != off+plen {
-		return nil, badFrame("payload length %d does not match frame size", plen)
+	f.Payload = r.Bytes(int(r.U32()))
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
-	f.Payload = append([]byte(nil), data[off:off+plen]...)
 	return f, nil
-}
-
-// SegmentCRC returns the CRC-32C of a stored segment's bytes — the
-// integrity mark recorded per member in parity frames and re-checked
-// after reconstruction.
-func SegmentCRC(data []byte) uint32 {
-	return crc32.Checksum(data, castagnoli)
 }

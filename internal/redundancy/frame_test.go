@@ -3,9 +3,11 @@ package redundancy
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 
 	"repro/internal/storage"
+	"repro/internal/wire"
 )
 
 func sampleFrame() *ParityFrame {
@@ -16,8 +18,8 @@ func sampleFrame() *ParityFrame {
 		K:     2,
 		M:     1,
 		Members: []MemberRef{
-			{Rank: 4, Length: 100, CRC: SegmentCRC([]byte("a"))},
-			{Rank: 9, Length: 90, CRC: SegmentCRC([]byte("b"))},
+			{Rank: 4, Length: 100, CRC: wire.CRC32C([]byte("a"))},
+			{Rank: 9, Length: 90, CRC: wire.CRC32C([]byte("b"))},
 		},
 		Payload: bytes.Repeat([]byte{0xAB}, 100),
 	}
@@ -107,6 +109,44 @@ func TestParseParityFrameRejectsStructuralDamage(t *testing.T) {
 		if !errors.Is(err, ErrBadParityFrame) || !errors.Is(err, storage.ErrCorrupt) {
 			t.Errorf("%s: error %v misses a sentinel", name, err)
 		}
+	}
+}
+
+// TestParseParityFrameAllocsIndependentOfPayload pins the view decode:
+// the payload is never copied, so parsing a 64 KiB shard costs the same
+// allocations, and about the same bytes, as parsing a 16-byte one.
+func TestParseParityFrameAllocsIndependentOfPayload(t *testing.T) {
+	parse := func(n int) (allocs float64, bytesPerOp uint64) {
+		f := sampleFrame()
+		f.Payload = bytes.Repeat([]byte{0x5A}, n)
+		enc, err := EncodeParityFrame(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func() {
+			if _, err := ParseParityFrame(enc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs = testing.AllocsPerRun(100, run)
+		const runs = 100
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	smallAllocs, smallBytes := parse(16)
+	largeAllocs, largeBytes := parse(64 << 10)
+	if smallAllocs != largeAllocs {
+		t.Fatalf("ParseParityFrame allocates %v/op for a 16 B payload but %v/op for 64 KiB", smallAllocs, largeAllocs)
+	}
+	// 1 KiB/op of slack covers the runtime's own allocations; a payload
+	// copy would cost 64.
+	if largeBytes > smallBytes+1024 {
+		t.Fatalf("ParseParityFrame allocates %d B/op for a 64 KiB payload, %d B/op for 16 B: the payload is copied", largeBytes, smallBytes)
 	}
 }
 

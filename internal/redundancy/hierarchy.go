@@ -15,6 +15,7 @@ import (
 	"repro/internal/des"
 	"repro/internal/mpi"
 	"repro/internal/storage"
+	"repro/internal/wire"
 )
 
 // Config describes a multi-level checkpoint hierarchy.
@@ -239,12 +240,13 @@ func ParityKey(group int, seq uint64, shard int) string {
 	return fmt.Sprintf("parity/g%03d/seq%06d/s%02d", group, seq, shard)
 }
 
-// ParseParityKey inverts ParityKey.
+// ParseParityKey inverts ParityKey. It accepts only the canonical key
+// of a non-negative group and shard, so every number is digits only.
 func ParseParityKey(key string, group *int, seq *uint64, shard *int) bool {
 	var g, s int
 	var q uint64
 	n, err := fmt.Sscanf(key, "parity/g%03d/seq%06d/s%02d", &g, &q, &s)
-	if err != nil || n != 3 {
+	if err != nil || n != 3 || g < 0 || s < 0 {
 		return false
 	}
 	if key != ParityKey(g, q, s) {
@@ -329,7 +331,7 @@ func (h *Hierarchy) EncodeLine(seq uint64) (ExchangeReport, error) {
 				return rep, fmt.Errorf("redundancy: group %d member %d line %d: %w", gi, r, seq, err)
 			}
 			segs[i] = data
-			members[i] = MemberRef{Rank: r, Length: uint32(len(data)), CRC: SegmentCRC(data)}
+			members[i] = MemberRef{Rank: r, Length: uint32(len(data)), CRC: wire.CRC32C(data)}
 			if len(data) > maxLen {
 				maxLen = len(data)
 			}
@@ -458,7 +460,9 @@ func (h *Hierarchy) CorruptParity(seq uint64, rng *rand.Rand) (string, bool) {
 //
 // so cmd/ckptinspect can reopen the whole hierarchy from a directory.
 
-// SaveManifest writes the hierarchy's geometry under dir.
+// SaveManifest writes the hierarchy's geometry under dir, crash-atomically
+// through storage.FileStore: a reader sees the old manifest or the new
+// one, never a torn file.
 func (h *Hierarchy) SaveManifest(dir string) error {
 	var b strings.Builder
 	fmt.Fprintf(&b, "multilevel v1\n")
@@ -474,10 +478,11 @@ func (h *Hierarchy) SaveManifest(dir string) error {
 			fmt.Fprintf(&b, "\n")
 		}
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	fs, err := storage.NewFileStore(dir)
+	if err != nil {
 		return err
 	}
-	return os.WriteFile(filepath.Join(dir, "manifest"), []byte(b.String()), 0o644)
+	return fs.Put("manifest", []byte(b.String()))
 }
 
 // NewFileHierarchy builds a file-backed hierarchy under dir and saves

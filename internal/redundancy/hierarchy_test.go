@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand/v2"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/ckpt"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/mpi"
 	"repro/internal/storage"
+	"repro/internal/wire"
 )
 
 // fixture is a hierarchy with real checkpoint chains: ranks run
@@ -236,7 +238,7 @@ func TestEncodeLinePlacesVerifiableParity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if pf.Members[i].Rank != r || pf.Members[i].Length != uint32(len(seg)) || pf.Members[i].CRC != SegmentCRC(seg) {
+				if pf.Members[i].Rank != r || pf.Members[i].Length != uint32(len(seg)) || pf.Members[i].CRC != wire.CRC32C(seg) {
 					t.Fatalf("member ref %d = %+v", i, pf.Members[i])
 				}
 				for j, b := range seg {
@@ -329,11 +331,39 @@ func TestParityKeyRoundTrip(t *testing.T) {
 	if !ParseParityKey(key, &g, &q, &s) || g != 3 || q != 41 || s != 5 {
 		t.Fatalf("round trip: %d %d %d", g, q, s)
 	}
-	for _, bad := range []string{"", "parity/g003", "segment/r000/seq000001", "parity/g3/seq41/s5", ckpt.SegmentKey(0, 1)} {
+	for _, bad := range []string{"", "parity/g003", "segment/r000/seq000001", "parity/g3/seq41/s5", ckpt.SegmentKey(0, 1),
+		"parity/g-01/seq000001/s00", "parity/g001/seq000001/s-1"} {
 		if ParseParityKey(bad, nil, nil, nil) {
 			t.Errorf("%q parsed as parity key", bad)
 		}
 	}
+}
+
+// FuzzParseParityKey holds the parser to its contract: any key it
+// accepts names non-negative fields, and formatting those fields gives a
+// key that parses back to them.
+func FuzzParseParityKey(f *testing.F) {
+	f.Add(ParityKey(0, 0, 0))
+	f.Add(ParityKey(3, 41, 5))
+	f.Add("parity/g-01/seq000001/s00")
+	f.Add("parity/g+01/seq000001/s00")
+	f.Add(ckpt.SegmentKey(0, 1))
+	f.Add("")
+	f.Fuzz(func(t *testing.T, key string) {
+		var g, s int
+		var q uint64
+		if !ParseParityKey(key, &g, &q, &s) {
+			return
+		}
+		if g < 0 || s < 0 {
+			t.Fatalf("%q parsed to negative group %d or shard %d", key, g, s)
+		}
+		var g2, s2 int
+		var q2 uint64
+		if !ParseParityKey(ParityKey(g, q, s), &g2, &q2, &s2) || g2 != g || q2 != q || s2 != s {
+			t.Fatalf("parse/format unstable: %q -> %d/%d/%d -> %d/%d/%d", key, g, q, s, g2, q2, s2)
+		}
+	})
 }
 
 func TestFileHierarchyManifestRoundTrip(t *testing.T) {
@@ -372,6 +402,29 @@ func TestFileHierarchyManifestRoundTrip(t *testing.T) {
 	}
 	if _, err := LoadFileHierarchy(t.TempDir()); err == nil {
 		t.Fatal("empty dir loaded")
+	}
+}
+
+// SaveManifest writes through FileStore's temp-file-and-rename path: a
+// re-saved manifest reloads, and no temp file is left beside it.
+func TestSaveManifestIsAtomic(t *testing.T) {
+	dir := t.TempDir()
+	h, err := NewFileHierarchy(dir, Scheme{Kind: RS, K: 2, M: 2}, domains(t, 8, 2), 3, mpi.QsNet())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.SaveManifest(dir); err != nil {
+		t.Fatal(err)
+	}
+	got, err := LoadFileHierarchy(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Scheme() != h.Scheme() || got.Ranks() != 8 || got.cfg.GlobalEvery != 3 {
+		t.Fatalf("reloaded: scheme %v ranks %d every %d", got.Scheme(), got.Ranks(), got.cfg.GlobalEvery)
+	}
+	if tmp, err := filepath.Glob(filepath.Join(dir, "*.tmp*")); err != nil || len(tmp) != 0 {
+		t.Fatalf("temp files left behind: %v, %v", tmp, err)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/ckpt"
 	"repro/internal/storage"
+	"repro/internal/wire"
 )
 
 // Recovery levels, indexing the per-level counters in ViewStats and the
@@ -176,7 +177,7 @@ func (v *RecoveryView) rebuild(rank int, seq uint64, key string) ([]byte, error)
 			continue
 		}
 		mr := ref.Members[i]
-		if uint32(len(data)) != mr.Length || SegmentCRC(data) != mr.CRC || len(data) > shardLen {
+		if uint32(len(data)) != mr.Length || wire.CRC32C(data) != mr.CRC || len(data) > shardLen {
 			continue
 		}
 		if len(data) == shardLen {
@@ -203,7 +204,7 @@ func (v *RecoveryView) rebuild(rank int, seq uint64, key string) ([]byte, error)
 			return nil, fmt.Errorf("redundancy: member %d length %d exceeds shard length %d: %w", member, mr.Length, shardLen, storage.ErrCorrupt)
 		}
 		seg := shards[i][:mr.Length]
-		if SegmentCRC(seg) != mr.CRC {
+		if wire.CRC32C(seg) != mr.CRC {
 			v.stats.RebuildFailures++
 			return nil, fmt.Errorf("redundancy: rebuilt segment for rank %d line %d fails CRC: %w", member, seq, storage.ErrCorrupt)
 		}

@@ -302,3 +302,35 @@ func TestViewIsReadOnly(t *testing.T) {
 		t.Fatalf("Delete: %v", err)
 	}
 }
+
+// A signed number in an L1 key names no rank or parity group: the key
+// parsers take digits only, so such keys are neither listed as
+// reconstructible segments nor indexed into the per-rank tables.
+func TestViewIgnoresSignedKeys(t *testing.T) {
+	f := buildFixture(t, Config{
+		Scheme:  Scheme{Kind: XOR, K: 2, M: 1},
+		Domains: domains(t, 4, 1),
+		Global:  storage.NewMemStore(),
+	}, 1)
+	const segKey, parityKey = "rank-01/seg000001", "parity/g-01/seq000001/s00"
+	for _, k := range []string{segKey, parityKey} {
+		if err := f.h.Local(0).Put(k, []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	v := f.h.NewView()
+	keys, err := v.Keys()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range keys {
+		if k == segKey || k == parityKey {
+			t.Fatalf("Keys lists %q", k)
+		}
+	}
+	for _, k := range []string{segKey, parityKey} {
+		if _, err := v.Get(k); !errors.Is(err, storage.ErrNotFound) {
+			t.Fatalf("Get(%q) = %v, want ErrNotFound", k, err)
+		}
+	}
+}

@@ -37,3 +37,17 @@ func TestIntegrityPutAllocsOnlyTheStoredCopy(t *testing.T) {
 		t.Fatalf("IntegrityStore.Put allocates %d B/op, want about %d (one envelope copy)", perOp, envelope)
 	}
 }
+
+// TestZeroAllocOpen pins the envelope check: Open returns a view of the
+// payload and allocates nothing on success.
+func TestZeroAllocOpen(t *testing.T) {
+	frame := Seal(make([]byte, 4096))
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := Open(frame); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Open allocates %v/op, want 0", allocs)
+	}
+}

@@ -3,9 +3,10 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"slices"
 	"sync"
+
+	"repro/internal/wire"
 )
 
 // Integrity envelope: every segment persisted through an IntegrityStore
@@ -27,8 +28,6 @@ const (
 	envelopeHeader  = 20
 )
 
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
 // Seal frames data in an integrity envelope, returning a fresh slice.
 func Seal(data []byte) []byte {
 	return appendSeal(make([]byte, 0, envelopeHeader+len(data)), data)
@@ -40,7 +39,7 @@ func appendSeal(dst, data []byte) []byte {
 	dst = append(dst, envelopeMagic...)
 	dst = le.AppendUint32(dst, envelopeVersion)
 	dst = le.AppendUint64(dst, uint64(len(data)))
-	dst = le.AppendUint32(dst, crc32.Checksum(data, castagnoli))
+	dst = le.AppendUint32(dst, wire.CRC32C(data))
 	return append(dst, data...)
 }
 
@@ -50,23 +49,21 @@ func appendSeal(dst, data []byte) []byte {
 // length mismatch (a torn write), checksum mismatch (bit rot) — reports
 // ErrCorrupt with the reason wrapped in.
 func Open(frame []byte) ([]byte, error) {
-	if len(frame) < envelopeHeader {
-		return nil, fmt.Errorf("%w: frame %d bytes, header needs %d", ErrCorrupt, len(frame), envelopeHeader)
+	r := wire.NewReader(frame, ErrCorrupt)
+	r.Magic(envelopeMagic)
+	if v := r.U32(); v != envelopeVersion {
+		r.Fail("unsupported envelope version %d", v)
 	}
-	if string(frame[:4]) != envelopeMagic {
-		return nil, fmt.Errorf("%w: bad envelope magic %q", ErrCorrupt, frame[:4])
+	n, sum := r.U64(), r.U32()
+	if uint64(r.Len()) != n {
+		r.Fail("torn frame: %d payload bytes, header says %d", r.Len(), n)
 	}
-	le := binary.LittleEndian
-	if v := le.Uint32(frame[4:8]); v != envelopeVersion {
-		return nil, fmt.Errorf("%w: unsupported envelope version %d", ErrCorrupt, v)
+	payload := r.Bytes(r.Len())
+	if wire.CRC32C(payload) != sum {
+		r.Fail("CRC-32C mismatch")
 	}
-	n := le.Uint64(frame[8:16])
-	payload := frame[envelopeHeader:]
-	if uint64(len(payload)) != n {
-		return nil, fmt.Errorf("%w: torn frame: %d payload bytes, header says %d", ErrCorrupt, len(payload), n)
-	}
-	if sum := crc32.Checksum(payload, castagnoli); sum != le.Uint32(frame[16:20]) {
-		return nil, fmt.Errorf("%w: CRC-32C mismatch", ErrCorrupt)
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return payload, nil
 }
