@@ -139,7 +139,7 @@ type Config struct {
 	Engine *des.Engine
 	// Chaos, when non-nil, drives deterministic scheduled failures from
 	// a compiled fault plan bound to Engine: node crashes at planned
-	// instants, crashes aimed inside two-phase commit windows, and — via
+	// instants, crashes aimed inside checkpoint commit windows, and — via
 	// the driver's MergeNetFaults, applied automatically — planned
 	// network partitions and brownouts. Storage-layer chaos (outages,
 	// brownouts, bit flips) rides the store the caller wrapped with
@@ -173,9 +173,10 @@ type Config struct {
 	// only every GlobalEvery lines. Failures wipe the victims' L1
 	// stores; recovery reads through the tiers — L1, L2 rebuild, L3 —
 	// with per-level accounting in the report. The chaos DSL's
-	// domain-crash fault kills whole failure domains at once.
-	// Incompatible with TwoPhaseCommit (the commit marker is a global-
-	// store protocol).
+	// domain-crash fault kills whole failure domains at once. Under
+	// TwoPhaseCommit the COMMIT markers go to the global store, only
+	// marker-committed lines are parity-protected, and recovery's marker
+	// reads count as L3 bytes.
 	MultiLevel *MultiLevelOptions
 }
 
@@ -232,6 +233,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// ErrUnsupported reports a Config combination the supervisor cannot
+// honour — a chaos fault kind whose target the run does not have. It is
+// returned up front by Run, never mid-run.
+var ErrUnsupported = errors.New("autonomic: unsupported configuration")
+
 func (c Config) validate() error {
 	switch {
 	case c.Ranks < 1:
@@ -240,8 +246,10 @@ func (c Config) validate() error {
 		return fmt.Errorf("autonomic: grid %dx%d", c.Nx, c.RowsPerRank)
 	case c.Iterations < 1 || c.CkptEvery < 1:
 		return fmt.Errorf("autonomic: iterations %d / ckpt every %d", c.Iterations, c.CkptEvery)
-	case c.MultiLevel != nil && c.TwoPhaseCommit:
-		return fmt.Errorf("autonomic: MultiLevel is incompatible with TwoPhaseCommit")
+	case c.Chaos != nil && len(c.Chaos.Plan().DomainCrashes) > 0 && c.MultiLevel == nil:
+		return fmt.Errorf("autonomic: domain-crash faults need MultiLevel failure domains: %w", ErrUnsupported)
+	case c.Chaos != nil && len(c.Chaos.Plan().DrainCrashes) > 0 && (c.RDMA == nil || c.RDMA.Mode != RDMADrain):
+		return fmt.Errorf("autonomic: crash-during-drain faults need the RDMA drain protocol: %w", ErrUnsupported)
 	}
 	return nil
 }
@@ -292,10 +300,10 @@ type Report struct {
 	// checkpoint re-bases a fresh chain.
 	CheckpointFailures int
 	// AbortedCommits counts two-phase rounds rolled back *after* a
-	// successful prepare — a rank death inside the commit window, a
-	// straggler timeout, or a refused COMMIT-marker write. Distinct
-	// from CheckpointFailures (prepare-phase storage refusals): an
-	// aborted commit had already paid the sink writes and deleted them.
+	// successful prepare — a rank death inside the commit window or a
+	// refused COMMIT-marker write. Distinct from CheckpointFailures
+	// (prepare-phase storage refusals): an aborted commit had already
+	// paid the sink writes and deleted them.
 	AbortedCommits int
 	// DetectionLatencies holds, per heartbeat-detected failure, the
 	// measured virtual time between the death and a survivor declaring
@@ -430,13 +438,12 @@ type Supervisor struct {
 	store storage.Store
 	rng   *rand.Rand
 
-	cur          *team
-	lastLineIter int             // iteration of the line a recovery would target
-	lineIter     map[uint64]int  // committed line seq → iteration it captured
-	wastedSeqs   map[uint64]bool // line seqs already charged as wasted to some failure
-	nextSeq      uint64
-	report       Report
-	failed       error
+	cur        *team
+	lineIter   map[uint64]int  // committed line seq → iteration it captured
+	wastedSeqs map[uint64]bool // line seqs already charged as wasted to some failure
+	nextSeq    uint64
+	report     Report
+	failed     error
 
 	// Multi-level checkpointing state (nil/unused without
 	// Config.MultiLevel). mlRng is a dedicated stream for parity-
@@ -656,104 +663,104 @@ func (s *Supervisor) startTeam() {
 	run()
 }
 
-// commitLine cuts one coordinated checkpoint line for team t at
-// iteration iter and calls cont when the stop-and-copy pause resolves.
-// A refused line leaves the computation unharmed: cont still runs, the
-// run just carries on without that line.
+// commitLine runs one coordinated checkpoint line for team t at
+// iteration iter and calls cont when the line's commit pause resolves.
+// Every line takes the same stages in order:
+//
+//	capture → publish → protect (MultiLevel) → resume
+//
+// Capture is GlobalCheckpoint under one-phase commit, where the line is
+// published at once and the pause is the slowest rank's sink write, or a
+// prepare/commit round under TwoPhaseCommit, where the line is published
+// only when its COMMIT marker lands on the global store. The chaos plan's
+// commit-crash and domain-crash faults aim into the commit window
+// [capture, pause end). A refused or aborted line leaves the computation
+// unharmed: cont still runs, the run just carries on without that line.
 func (s *Supervisor) commitLine(t *team, iter int, cont func()) {
 	if s.cfg.TwoPhaseCommit {
-		s.beginTwoPhase(t, iter, cont)
+		t.co.BeginTwoPhase(s.store, 2*mpi.QsNet().Latency, func(g ckpt.GlobalResult, err error) {
+			if err != nil {
+				s.dropLine(t, err, cont)
+				return
+			}
+			s.publishLine(g, iter, s.eng.Now()-g.At)
+			s.protectAndResume(t, g.Seq, cont)
+		})
+		// A prepare refused synchronously leaves no window to aim at.
+		if lastAck, open := t.co.PendingLastAck(); open {
+			s.aimCommitWindow(lastAck)
+		}
 		return
 	}
 	g, err := t.co.GlobalCheckpoint()
 	if err != nil {
-		// The storage tier refused the line. The computation is
-		// unharmed — realign the checkpointers (ranks that
-		// persisted before the error are ahead of ranks after it,
-		// and consumed dirty sets force a full re-base) and keep
-		// iterating without this line. The cost shows up as extra
-		// rollback distance if a failure lands before the next
-		// line commits.
-		s.report.CheckpointFailures++
-		s.nextSeq = t.co.Resync()
+		s.dropLine(t, err, cont)
+		return
+	}
+	s.publishLine(g, iter, g.MaxDuration)
+	s.aimCommitWindow(s.eng.Now() + g.MaxDuration)
+	s.eng.After(g.MaxDuration, func() { s.protectAndResume(t, g.Seq, cont) })
+}
+
+// protectAndResume runs the last two stages of line seq once its commit
+// pause resolves: L2 parity under multi-level, then cont.
+func (s *Supervisor) protectAndResume(t *team, seq uint64, cont func()) {
+	if s.cur != t || s.detecting {
+		return // a failure in the pause: the recovery path owns the future
+	}
+	if s.ml == nil {
 		cont()
 		return
 	}
-	seq := g.PerRank[0].Seq
-	s.nextSeq = seq + 1
-	s.lastLineIter = iter
-	s.lineIter[seq] = iter
-	s.report.CommittedLines++
-	s.report.CheckpointVolumeMB += float64(g.TotalPageBytes) / 1e6
-	s.report.CommitTime += g.MaxDuration
-	// A chaos plan may aim a correlated domain crash inside the commit
-	// pause: the line's segments are on L1 but its parity exchange has
-	// not resolved, so the newest line is exactly as exposed as a real
-	// mid-commit loss would leave it.
-	if s.cfg.Chaos != nil {
-		if name, delay, hit := s.cfg.Chaos.DomainCrashDelay(s.eng.Now(), s.eng.Now()+g.MaxDuration); hit {
-			s.eng.After(delay, func() { s.domainCrash(name) })
-		}
-	}
-	if s.ml == nil {
-		s.eng.After(g.MaxDuration, cont)
-		return
-	}
-	s.eng.After(g.MaxDuration, func() {
-		if s.cur != t || s.detecting {
-			return
-		}
-		s.protectLine(t, seq, cont)
-	})
+	s.protectLine(t, seq, cont)
 }
 
-// beginTwoPhase runs one prepare/commit checkpoint round for the current
-// team and resumes the computation when the round resolves. The done
-// callback fires at the commit's (or abort's) virtual completion time,
-// so the full round is a measured pause, not a modelled one.
-func (s *Supervisor) beginTwoPhase(t *team, iter int, next func()) {
-	ackDelay := 2 * mpi.QsNet().Latency
-	t.co.BeginTwoPhase(ckpt.TwoPhaseOptions{AckDelay: ackDelay},
-		func(g ckpt.GlobalResult, err error) {
-			if err != nil {
-				if errors.Is(err, ckpt.ErrCommitAborted) {
-					s.report.AbortedCommits++
-				} else {
-					s.report.CheckpointFailures++
-				}
-				if s.cur != t || s.detecting {
-					// Aborted by a rank failure: the recovery path owns
-					// the future; do not resurrect the computation.
-					return
-				}
-				// Autonomous abort (straggler timeout, refused marker) or
-				// prepare refusal: the computation is unharmed. Realign
-				// the checkpointers and keep iterating without this line.
-				s.nextSeq = t.co.Resync()
-				next()
-				return
-			}
-			s.nextSeq = g.PerRank[0].Seq + 1
-			s.lastLineIter = iter
-			s.lineIter[g.PerRank[0].Seq] = iter
-			s.report.CommittedLines++
-			s.report.CheckpointVolumeMB += float64(g.TotalPageBytes) / 1e6
-			s.report.CommitTime += s.eng.Now() - g.At
-			if s.cur != t || s.detecting {
-				return
-			}
-			next()
-		})
-	// A chaos plan may want this round killed mid-commit: after the
-	// prepare started, strictly before the last ack (the earliest instant
-	// the COMMIT marker could be written). If the prepare already resolved
-	// synchronously (storage refusal), there is no window to aim at.
-	if s.cfg.Chaos != nil {
-		if lastAck, open := t.co.PendingLastAck(); open {
-			if delay, hit := s.cfg.Chaos.CommitCrashDelay(s.eng.Now(), lastAck); hit {
-				s.eng.After(delay, s.onFailure)
-			}
-		}
+// publishLine records a line recovery may now trust: it captured
+// iteration iter and paused the computation for pause.
+func (s *Supervisor) publishLine(g ckpt.GlobalResult, iter int, pause des.Time) {
+	s.nextSeq = g.Seq + 1
+	s.lineIter[g.Seq] = iter
+	s.report.CommittedLines++
+	s.report.CheckpointVolumeMB += float64(g.TotalPageBytes) / 1e6
+	s.report.CommitTime += pause
+}
+
+// dropLine accounts a line that never became trustworthy — refused by
+// storage, or aborted after its prepare — and, unless a rank failure
+// caused it, realigns the checkpointers (ranks that persisted before the
+// error are ahead of ranks after it, and consumed dirty sets force a
+// full re-base) and keeps iterating without the line. The cost shows up
+// as extra rollback distance if a failure lands before the next line
+// commits.
+func (s *Supervisor) dropLine(t *team, err error, cont func()) {
+	if errors.Is(err, ckpt.ErrCommitAborted) {
+		s.report.AbortedCommits++
+	} else {
+		s.report.CheckpointFailures++
+	}
+	if s.cur != t || s.detecting {
+		return // aborted by a rank failure: the recovery path owns the future
+	}
+	s.nextSeq = t.co.Resync()
+	cont()
+}
+
+// aimCommitWindow lets the chaos plan strike inside the commit window
+// that opens now and closes at end: a node kill (commit-crash) or, under
+// multi-level, a whole failure domain (domain-crash) — after the line's
+// segments are written, before its COMMIT marker or parity placement can
+// land, so the newest line is exactly as exposed as a real mid-commit
+// loss would leave it.
+func (s *Supervisor) aimCommitWindow(end des.Time) {
+	if s.cfg.Chaos == nil {
+		return
+	}
+	now := s.eng.Now()
+	if delay, hit := s.cfg.Chaos.CommitCrashDelay(now, end); hit {
+		s.eng.After(delay, s.onFailure)
+	}
+	if name, delay, hit := s.cfg.Chaos.DomainCrashDelay(now, end); hit {
+		s.eng.After(delay, func() { s.domainCrash(name) })
 	}
 }
 
@@ -950,45 +957,38 @@ func (s *Supervisor) onDetected(t *team, d cluster.Detection) {
 	s.scheduleRecovery(s.pendingFailIter)
 }
 
-// claimedSeq snapshots what the store *claims* is the newest line — the
+// claimedSeq snapshots what src *claims* is the newest line — the
 // commit-marker key space under two-phase commit, the segment key space
 // otherwise — before any data is touched. A recovery is degraded when
 // the line it actually restores falls short of this claim.
-func (s *Supervisor) claimedSeq() (uint64, bool, error) {
-	if s.ml != nil {
-		// The hierarchy's claim spans all three tiers: the recovery view
-		// advertises surviving L1 chains, parity-covered lines and L3.
-		return ckpt.LatestConsistentSeq(s.ml.NewView(), s.cfg.Ranks)
-	}
+func (s *Supervisor) claimedSeq(src storage.Store) (uint64, bool, error) {
 	if !s.cfg.TwoPhaseCommit {
-		return ckpt.LatestConsistentSeq(s.store, s.cfg.Ranks)
+		return ckpt.LatestConsistentSeq(src, s.cfg.Ranks)
 	}
-	keys, err := s.store.Keys()
-	if err != nil {
+	seqs, err := ckpt.MarkerSeqs(src)
+	if err != nil || len(seqs) == 0 {
 		return 0, false, err
 	}
-	var best uint64
-	ok := false
-	for _, k := range keys {
-		var seq uint64
-		if ckpt.ParseCommitKey(k, &seq) && (!ok || seq > best) {
-			best, ok = seq, true
-		}
-	}
-	return best, ok, nil
+	return seqs[0], true, nil
 }
 
 // scheduleRecovery selects and restores the newest trustworthy line now
 // (the store may decay further while the node respawns) and arms the
 // respawn after the restart overhead plus the measured chain-read time.
 // The armed event is cancellable: a nested failure redoes the selection.
+// Under multi-level, recovery reads through a fresh tiered view of the
+// hierarchy; otherwise it reads the global store.
 func (s *Supervisor) scheduleRecovery(failIter int) {
-	best, okBest, err := s.claimedSeq()
+	src := s.store
+	if s.ml != nil {
+		src = s.ml.NewView()
+	}
+	best, okBest, err := s.claimedSeq(src)
 	if err != nil {
 		s.fail(err)
 		return
 	}
-	spaces, line, ok, readTime := s.selectAndRestore()
+	spaces, line, ok, readTime := s.selectAndRestore(src)
 	if s.failed != nil {
 		return
 	}
@@ -1001,27 +1001,29 @@ func (s *Supervisor) scheduleRecovery(failIter int) {
 	})
 }
 
-// selectAndRestore finds the newest recovery line the storage tier can
-// prove — every rank's chain fetched, integrity-checked and decoded —
-// and restores it. Verification races ongoing sink decay (a replica's
-// op-countdown outage can land between proving a line and reading it
-// back), so a read failure re-verifies against the shifted world and
-// falls down to the next surviving line instead of aborting the run.
-// Returns nil spaces when no line survives (scratch restart), plus the
-// virtual time the winning chain read costs.
-func (s *Supervisor) selectAndRestore() (spaces []*mem.AddressSpace, line uint64, ok bool, readTime des.Time) {
-	if s.ml != nil {
-		return s.selectAndRestoreTiered()
-	}
-	// Under two-phase commit only lines with a verified COMMIT marker
-	// may be trusted; otherwise the newest fully verifiable line wins.
+// selectAndRestore finds the newest recovery line src can prove — every
+// rank's chain fetched, integrity-checked and decoded — and restores it.
+// Under two-phase commit only lines with a verified COMMIT marker may be
+// trusted; otherwise the newest fully verifiable line wins. Verification
+// races ongoing sink decay (a replica's op-countdown outage can land
+// between proving a line and reading it back), so a read failure
+// re-verifies against the shifted world and falls down to the next
+// surviving line instead of aborting the run. Returns nil spaces when no
+// line survives (scratch restart), plus the virtual time the winning
+// chain read costs: the global sink's time for the chain volume, or, on
+// a tiered view, each level's time for the bytes it served.
+func (s *Supervisor) selectAndRestore(src storage.Store) (spaces []*mem.AddressSpace, line uint64, ok bool, readTime des.Time) {
 	latest := ckpt.LatestVerifiableSeq
 	if s.cfg.TwoPhaseCommit {
 		latest = ckpt.LatestCommittedSeq
 	}
+	view, tiered := src.(*redundancy.RecoveryView)
+	if tiered {
+		defer s.foldViewStats(view)
+	}
 	for attempt := 0; attempt <= len(s.lineIter)+1; attempt++ {
 		var err error
-		line, ok, err = latest(s.store, s.cfg.Ranks)
+		line, ok, err = latest(src, s.cfg.Ranks)
 		if err != nil {
 			s.fail(err)
 			return nil, 0, false, 0
@@ -1030,20 +1032,25 @@ func (s *Supervisor) selectAndRestore() (spaces []*mem.AddressSpace, line uint64
 			return nil, 0, false, 0
 		}
 		var chain uint64
-		for r := 0; r < s.cfg.Ranks; r++ {
-			v, err := ckpt.ChainVolume(s.store, r, line)
-			if err != nil {
-				chain = 0
-				break
+		if !tiered {
+			for r := 0; r < s.cfg.Ranks; r++ {
+				v, err := ckpt.ChainVolume(src, r, line)
+				if err != nil {
+					chain = 0
+					break
+				}
+				chain += v
 			}
-			chain += v
+			if chain == 0 {
+				continue // line decayed under us: re-verify
+			}
 		}
-		if chain == 0 {
-			continue // line decayed under us: re-verify
-		}
-		spaces, err = ckpt.RestoreAll(s.store, s.cfg.Ranks, line)
+		spaces, err = ckpt.RestoreAll(src, s.cfg.Ranks, line)
 		if err != nil {
 			continue
+		}
+		if tiered {
+			return spaces, line, true, s.levelReadTime(view.Stats())
 		}
 		return spaces, line, true, s.cfg.Sink.WriteTime(chain) // read ≈ write bandwidth
 	}
@@ -1061,7 +1068,6 @@ func (s *Supervisor) recover(spaces []*mem.AddressSpace, line uint64, haveLine b
 	if haveLine {
 		startIter = s.lineIter[line]
 	}
-	s.lastLineIter = startIter
 	s.report.LostIterations += failIter - startIter
 	s.closeFailureRecords(startIter)
 	t, err := s.buildTeam(spaces, startIter)

@@ -1,6 +1,7 @@
 package autonomic
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/chaos"
@@ -23,10 +24,9 @@ func chaosBaseConfig(seed uint64) Config {
 }
 
 // chaosSchedules are the fault scenarios the acceptance criteria name:
-// plain crashes, crashes aimed inside two-phase commit windows, a
-// network partition with a correlated crash plus a storage brownout,
-// and silent bit flips with a crash to force recovery through the
-// corrupted store.
+// plain crashes, crashes aimed inside commit windows, a network
+// partition with a correlated crash plus a storage brownout, and silent
+// bit flips with a crash to force recovery through the corrupted store.
 var chaosSchedules = []struct {
 	name     string
 	text     string
@@ -40,6 +40,8 @@ var chaosSchedules = []struct {
 			"storage-brownout at 5s..7s rate 0.4",
 		false},
 	{"bitflip", "bitflip at 2s..9s count 4\ncrash at 3s..8s count 1", false},
+	// Under one-phase commit the kill lands in the stop-and-copy pause.
+	{"commit-crash-one-phase", "commit-crash at 1s..30s count 2", false},
 }
 
 var chaosSeeds = []uint64{3, 5, 9}
@@ -200,5 +202,26 @@ func TestChaosDeterminism(t *testing.T) {
 			t.Fatalf("failure %d diverges: %+v vs %+v",
 				i, a.Injected.FailureLog[i], b.Injected.FailureLog[i])
 		}
+	}
+}
+
+// A chaos fault kind whose target the run does not have is rejected up
+// front with ErrUnsupported instead of being silently dropped: a
+// domain-crash needs multi-level failure domains, a crash-during-drain
+// needs the RDMA drain protocol.
+func TestChaosUnsupportedFaultKinds(t *testing.T) {
+	for name, text := range map[string]string{
+		"domain-crash without MultiLevel":  "domain-crash at 1s..30s domain d0",
+		"crash-during-drain without drain": "crash-during-drain at 0s..60s phase quiesce",
+	} {
+		t.Run(name, func(t *testing.T) {
+			sched, err := chaos.ParseSchedule(text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ValidateReplay(chaosBaseConfig(3), sched); !errors.Is(err, ErrUnsupported) {
+				t.Errorf("err = %v, want ErrUnsupported", err)
+			}
+		})
 	}
 }

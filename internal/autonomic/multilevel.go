@@ -13,10 +13,8 @@ import (
 	"fmt"
 	"math/rand/v2"
 
-	"repro/internal/ckpt"
 	"repro/internal/cluster"
 	"repro/internal/des"
-	"repro/internal/mem"
 	"repro/internal/mpi"
 	"repro/internal/redundancy"
 	"repro/internal/storage"
@@ -122,7 +120,7 @@ func (s *Supervisor) protectLine(t *team, seq uint64, cont func()) {
 // domainCrash is the chaos DSL's correlated failure: every rank of the
 // named failure domain dies at once, local stores and all, mid-commit.
 func (s *Supervisor) domainCrash(name string) {
-	if s.report.Completed || s.failed != nil || s.ml == nil {
+	if s.report.Completed || s.failed != nil {
 		return
 	}
 	dm := s.cfg.MultiLevel.Domains
@@ -159,54 +157,36 @@ func (s *Supervisor) takeVictims() []int {
 	return victims
 }
 
-// selectAndRestoreTiered is selectAndRestore over the hierarchy's
-// recovery view: the same newest-verifiable-line walk, but every segment
-// read tries L1, then an L2 parity rebuild, then L3 — with the view's
-// per-level accounting folded into the report and the recovery's read
-// time composed from the tier models each level actually hit.
-func (s *Supervisor) selectAndRestoreTiered() (spaces []*mem.AddressSpace, line uint64, ok bool, readTime des.Time) {
-	view := s.ml.NewView()
-	defer func() {
-		st := view.Stats()
-		for i := 0; i < redundancy.LevelCount; i++ {
-			s.report.LevelReadBytes[i] += st.LevelBytes[i]
-		}
-		s.report.ParityRebuilds += st.Rebuilds
-		s.report.ParityRebuildFailures += st.RebuildFailures
-		s.report.CorruptParityShards += st.CorruptShards
-		s.report.ParityRepairs += st.RepairedBack
-		s.report.ParityRepairFailures += st.RepairWriteFailures
-	}()
-	for attempt := 0; attempt <= len(s.lineIter)+1; attempt++ {
-		var err error
-		line, ok, err = ckpt.LatestVerifiableSeq(view, s.cfg.Ranks)
-		if err != nil {
-			s.fail(err)
-			return nil, 0, false, 0
-		}
-		if !ok {
-			return nil, 0, false, 0
-		}
-		spaces, err = ckpt.RestoreAll(view, s.cfg.Ranks, line)
-		if err != nil {
-			continue
-		}
-		st := view.Stats()
-		var lr [redundancy.LevelCount]des.Time
-		if n := st.LevelBytes[redundancy.LevelLocal]; n > 0 {
-			lr[redundancy.LevelLocal] = storage.NVMeSink().WriteTime(n)
-		}
-		if n := st.LevelBytes[redundancy.LevelParity]; n > 0 {
-			lr[redundancy.LevelParity] = mpi.QsNet().TransferTime(n)
-		}
-		if n := st.LevelBytes[redundancy.LevelGlobal]; n > 0 {
-			lr[redundancy.LevelGlobal] = s.cfg.Sink.WriteTime(n)
-		}
-		for i, t := range lr {
-			s.report.LevelReadTime[i] += t
-			readTime += t
-		}
-		return spaces, line, true, readTime
+// foldViewStats adds one recovery view's per-level accounting to the
+// report.
+func (s *Supervisor) foldViewStats(view *redundancy.RecoveryView) {
+	st := view.Stats()
+	for i := 0; i < redundancy.LevelCount; i++ {
+		s.report.LevelReadBytes[i] += st.LevelBytes[i]
 	}
-	return nil, 0, false, 0
+	s.report.ParityRebuilds += st.Rebuilds
+	s.report.ParityRebuildFailures += st.RebuildFailures
+	s.report.CorruptParityShards += st.CorruptShards
+	s.report.ParityRepairs += st.RepairedBack
+	s.report.ParityRepairFailures += st.RepairWriteFailures
+}
+
+// levelReadTime composes a tiered recovery's read time from the tier
+// models each level actually served bytes from, and charges each level's
+// share to the report.
+func (s *Supervisor) levelReadTime(st redundancy.ViewStats) des.Time {
+	models := [redundancy.LevelCount]func(uint64) des.Time{
+		redundancy.LevelLocal:  storage.NVMeSink().WriteTime,
+		redundancy.LevelParity: mpi.QsNet().TransferTime,
+		redundancy.LevelGlobal: s.cfg.Sink.WriteTime,
+	}
+	var total des.Time
+	for i, n := range st.LevelBytes {
+		if n > 0 {
+			t := models[i](n)
+			s.report.LevelReadTime[i] += t
+			total += t
+		}
+	}
+	return total
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/chaos"
+	"repro/internal/ckpt"
 	"repro/internal/cluster"
 	"repro/internal/des"
 	"repro/internal/redundancy"
@@ -172,6 +173,83 @@ func TestMultiLevelDomainCrashReplaysBitExact(t *testing.T) {
 	}
 }
 
+// globalReads wraps the global store and classifies its successful Gets:
+// COMMIT markers versus anything else (segments).
+type globalReads struct {
+	storage.Store
+	markers, other int
+}
+
+func (g *globalReads) Get(key string) ([]byte, error) {
+	data, err := g.Store.Get(key)
+	if err == nil {
+		if ckpt.ParseCommitKey(key, new(uint64)) {
+			g.markers++
+		} else {
+			g.other++
+		}
+	}
+	return data, err
+}
+
+// Multi-level composes with two-phase commit: a crash inside a commit
+// window and a correlated domain crash both abort their rounds, only
+// marker-committed lines are parity-protected, and recovery trusts only
+// committed lines — rebuilt from L1 and L2, with the COMMIT markers as
+// the only bytes read from the global store.
+func TestMultiLevelTwoPhaseReplaysBitExact(t *testing.T) {
+	sched, err := chaos.ParseSchedule("commit-crash at 2500ms..30s\ndomain-crash at 5s..30s domain d1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	markerSize := len(ckpt.EncodeCommitMarker(ckpt.CommitMarker{}))
+	for _, seed := range []uint64{1, 2, 3} {
+		cfg := mlBaseConfig(seed, MultiLevelOptions{
+			Scheme:  redundancy.Scheme{Kind: redundancy.RS, K: 2, M: 2},
+			Domains: mlDomains(t, 8, 2),
+		})
+		cfg.Ranks = 8
+		cfg.TwoPhaseCommit = true
+		var global storage.Store
+		var reads *globalReads
+		out, err := ValidateReplayStore(cfg, sched, func(_ *des.Engine, driver *chaos.Driver) storage.Store {
+			global = storage.NewResilientStore(
+				storage.NewIntegrityStore(driver.WrapStore(storage.NewMemStore())),
+				storage.DefaultRetryPolicy())
+			reads = &globalReads{Store: global}
+			return reads
+		})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		checkBitExact(t, out, seed)
+		rep := out.Injected
+		t.Logf("seed %d: %d aborted commits, %d parity rebuilds, %d committed lines, %d markers read",
+			seed, rep.AbortedCommits, rep.ParityRebuilds, rep.CommittedLines, reads.markers)
+		if out.Stats.CommitCrashes != 1 || out.Stats.DomainCrashes != 1 {
+			t.Fatalf("seed %d: driver fired %d commit crashes, %d domain crashes, want 1/1",
+				seed, out.Stats.CommitCrashes, out.Stats.DomainCrashes)
+		}
+		if rep.AbortedCommits == 0 || rep.ParityRebuilds == 0 {
+			t.Fatalf("seed %d: aborted commits %d, parity rebuilds %d: the faults missed the commit windows",
+				seed, rep.AbortedCommits, rep.ParityRebuilds)
+		}
+		seqs, err := ckpt.MarkerSeqs(global)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(seqs) != rep.CommittedLines {
+			t.Errorf("seed %d: %d markers on the global store, %d committed lines", seed, len(seqs), rep.CommittedLines)
+		}
+		if reads.markers == 0 || reads.other != 0 {
+			t.Errorf("seed %d: global reads: %d markers, %d other keys", seed, reads.markers, reads.other)
+		}
+		if got, want := rep.LevelReadBytes[redundancy.LevelGlobal], uint64(markerSize*reads.markers); got != want {
+			t.Errorf("seed %d: L3 read %d B, want %d B of COMMIT markers", seed, got, want)
+		}
+	}
+}
+
 // Same correlated loss, but with the heartbeat detector on: every
 // victim's tickers go silent at once, a survivor declares the death,
 // and the measured detection latency lands in the report.
@@ -294,8 +372,8 @@ func TestMultiLevelConfigErrors(t *testing.T) {
 
 	cfg := base
 	cfg.TwoPhaseCommit = true
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("MultiLevel+TwoPhaseCommit accepted")
+	if _, err := Run(cfg); err != nil {
+		t.Fatalf("MultiLevel+TwoPhaseCommit rejected: %v", err)
 	}
 
 	cfg = base

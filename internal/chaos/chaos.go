@@ -42,9 +42,11 @@ type Kind uint8
 const (
 	// Crash kills a node at a seeded instant inside the window.
 	Crash Kind = iota
-	// CommitCrash kills a node inside a two-phase checkpoint commit
-	// window (between prepare and the COMMIT-marker write) that opens
-	// during the spec's window. Each Count consumes one commit round.
+	// CommitCrash kills a node inside a checkpoint commit window that
+	// opens during the spec's window: between prepare and the
+	// COMMIT-marker write under two-phase commit, inside the
+	// stop-and-copy pause under one-phase commit. Each Count consumes
+	// one commit window.
 	CommitCrash
 	// Partition severs the whole fabric for the window: severe packet
 	// loss on every link (clamped by the mpi layer's loss cap, so ARQ
@@ -67,14 +69,16 @@ const (
 	// protocol enters a named phase (quiesce, drain, deregister,
 	// checkpoint, reregister, reconnect) inside the spec's window. Each
 	// Count consumes one drain round — the adversarial instants for the
-	// drain/re-register state machine.
+	// drain/re-register state machine. A run without the drain protocol
+	// rejects it up front.
 	DrainCrash
 	// DomainCrash kills every rank of a named failure domain mid-commit:
 	// the first checkpoint-commit pause that opens inside the spec's
 	// window draws a seeded kill instant inside the pause, before the
 	// line's parity shards finish placing — the correlated loss a
 	// multi-level hierarchy's domain-disjoint placement must absorb.
-	// Each Count consumes one commit round.
+	// Each Count consumes one commit round. A run without failure
+	// domains (no multi-level hierarchy) rejects it up front.
 	DomainCrash
 )
 

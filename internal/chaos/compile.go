@@ -49,8 +49,8 @@ type Plan struct {
 	Seed uint64
 	// Crashes are node-kill instants, ascending.
 	Crashes []des.Time
-	// CommitCrashes are windows inside which two-phase commit rounds are
-	// killed mid-commit, one round per entry.
+	// CommitCrashes are windows inside which checkpoint commit windows
+	// are killed mid-commit, one commit per entry.
 	CommitCrashes []Window
 	// NetWindows are the compiled partition/brownout fabric degradations
 	// in mpi's native form.

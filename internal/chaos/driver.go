@@ -14,7 +14,9 @@ import (
 type Stats struct {
 	// Crashes counts node-kill events fired.
 	Crashes int
-	// CommitCrashes counts two-phase rounds the driver aimed a kill at.
+	// CommitCrashes counts checkpoint commit windows the driver aimed a
+	// kill at (two-phase prepare→commit rounds, or the stop-and-copy
+	// pause of a one-phase line).
 	CommitCrashes int
 	// DrainCrashes counts drain rounds killed at a phase entry.
 	DrainCrashes int
@@ -85,21 +87,22 @@ func (d *Driver) StartCrashes(kill func()) {
 	}
 }
 
-// CommitCrashDelay asks whether a two-phase commit round opening at now,
-// whose last prepare ack is scheduled for lastAck, should be killed
+// CommitCrashDelay asks whether a checkpoint commit window opening at
+// now and closing at end — the last prepare ack of a two-phase round, or
+// the end of a one-phase line's stop-and-copy pause — should be killed
 // mid-commit. It consumes at most one planned commit-crash window per
-// call and returns a seeded delay strictly inside [0, lastAck-now) —
-// after the prepare has started, before the COMMIT marker can be
-// written — so the resulting abort exercises the torn-line recovery
-// path at an adversarial instant.
-func (d *Driver) CommitCrashDelay(now, lastAck des.Time) (des.Time, bool) {
+// call and returns a seeded delay strictly inside [0, end-now) — after
+// the segments are written, before the COMMIT marker can be — so the
+// resulting failure exercises the torn-line recovery path at an
+// adversarial instant.
+func (d *Driver) CommitCrashDelay(now, end des.Time) (des.Time, bool) {
 	for i, w := range d.plan.CommitCrashes {
 		if d.commitUsed[i] || !w.contains(now) {
 			continue
 		}
 		d.commitUsed[i] = true
 		d.stats.CommitCrashes++
-		span := lastAck - now
+		span := end - now
 		if span <= 0 {
 			return 0, true
 		}

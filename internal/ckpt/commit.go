@@ -8,17 +8,18 @@ package ckpt
 // coordinator-driven checkpointing solves this with prepare/commit:
 // ranks write their segments in the prepare phase, ack the coordinator
 // when their sink write completes, and only then does the coordinator
-// write a small COMMIT marker through the same (hardened) store. A line
-// without a verified marker never existed as far as recovery is
-// concerned, so a mid-checkpoint failure — or a straggler timeout, or a
-// refused marker write — aborts the line, deletes the prepared
-// segments, and falls back to the previous committed line.
+// write a small COMMIT marker to the store the caller names (the global
+// store, which outlives any one rank). A line without a verified marker
+// never existed as far as recovery is concerned, so a mid-checkpoint
+// failure — or a refused marker write — aborts the line, deletes the
+// prepared segments, and falls back to the previous committed line.
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -28,10 +29,9 @@ import (
 )
 
 // ErrCommitAborted reports a two-phase global checkpoint rolled back
-// after a successful prepare: a rank failure inside the commit window, a
-// straggler timeout, or a refused COMMIT-marker write. Distinct from a
-// prepare-phase storage refusal, which surfaces as the storage error
-// itself.
+// after a successful prepare: a rank failure inside the commit window or
+// a refused COMMIT-marker write. Distinct from a prepare-phase storage
+// refusal, which surfaces as the storage error itself.
 var ErrCommitAborted = errors.New("ckpt: global commit aborted")
 
 const (
@@ -96,22 +96,12 @@ func DecodeCommitMarker(data []byte) (CommitMarker, error) {
 	return m, nil
 }
 
-// TwoPhaseOptions parameterises one prepare/commit round.
-type TwoPhaseOptions struct {
-	// Timeout aborts the round if some rank's ack has not arrived this
-	// long after the prepare started (0 disables the straggler guard).
-	Timeout des.Time
-	// AckDelay is the coordination-message cost added to each rank's
-	// sink write time before its ack lands at the coordinator.
-	AckDelay des.Time
-}
-
 // pendingCommit is one in-flight prepare/commit round.
 type pendingCommit struct {
 	g       GlobalResult
+	markers storage.Store
 	acks    int
 	ackEvs  []des.Event
-	timeout des.Event
 	done    func(GlobalResult, error)
 	aborted bool
 }
@@ -144,56 +134,34 @@ func (co *Coordinator) PendingLastAck() (des.Time, bool) {
 
 // BeginTwoPhase starts a prepare/commit global checkpoint. The prepare
 // phase writes every rank's segment now; rank i's ack arrives at its
-// sink write time (serialised under Staggered) plus AckDelay; once all
-// acks are in, the coordinator writes the COMMIT marker and done runs
-// with the aggregate result, at the commit's virtual completion time.
+// sink write time plus ackDelay (the coordination-message cost); once
+// all acks are in, the coordinator writes the COMMIT marker to markers
+// and done runs with the aggregate result, at the commit's virtual
+// completion time.
 //
 // Failure paths, all of which leave no trace recovery could trust:
 //   - a prepare-phase Put refused by storage → segments of this seq are
 //     deleted and done receives the storage error directly;
-//   - straggler timeout, refused marker write, or an external
-//     AbortPending (rank death inside the window) → segments deleted, no
-//     marker, done receives an ErrCommitAborted-wrapped error.
-func (co *Coordinator) BeginTwoPhase(opts TwoPhaseOptions, done func(GlobalResult, error)) {
+//   - a refused marker write, or an external AbortPending (rank death
+//     inside the window) → segments deleted, no marker, done receives an
+//     ErrCommitAborted-wrapped error.
+func (co *Coordinator) BeginTwoPhase(markers storage.Store, ackDelay des.Time, done func(GlobalResult, error)) {
 	if co.pending != nil {
 		panic(fmt.Sprintf("ckpt: two-phase commit %d already in flight", co.pending.g.Seq))
 	}
 	if done == nil {
 		done = func(GlobalResult, error) {}
 	}
-	g := GlobalResult{Seq: co.cps[0].Seq(), At: co.eng.Now()}
-	for _, c := range co.cps {
-		res, err := c.Checkpoint()
-		if err != nil {
-			co.deleteLine(g.Seq)
-			done(GlobalResult{}, err)
-			return
-		}
-		g.PerRank = append(g.PerRank, res)
-		g.TotalPageBytes += res.PageBytes
-		if co.Staggered {
-			g.MaxDuration += res.Duration
-		} else if res.Duration > g.MaxDuration {
-			g.MaxDuration = res.Duration
-		}
+	g, err := co.capture()
+	if err != nil {
+		co.deleteLine(g.Seq)
+		done(GlobalResult{}, err)
+		return
 	}
-	p := &pendingCommit{g: g, done: done}
+	p := &pendingCommit{g: g, markers: markers, done: done}
 	co.pending = p
-	var serial des.Time
 	for _, res := range g.PerRank {
-		ackAt := res.Duration + opts.AckDelay
-		if co.Staggered {
-			serial += res.Duration
-			ackAt = serial + opts.AckDelay
-		}
-		p.ackEvs = append(p.ackEvs, co.eng.After(ackAt, func() { co.onAck(p) }))
-	}
-	if opts.Timeout > 0 {
-		seq := g.Seq
-		p.timeout = co.eng.After(opts.Timeout, func() {
-			co.abortPending(p, fmt.Errorf("ckpt: seq %d straggler timeout after %v (%d/%d acks): %w",
-				seq, opts.Timeout, p.acks, len(co.cps), ErrCommitAborted))
-		})
+		p.ackEvs = append(p.ackEvs, co.eng.After(res.Duration+ackDelay, func() { co.onAck(p) }))
 	}
 }
 
@@ -207,17 +175,13 @@ func (co *Coordinator) onAck(p *pendingCommit) {
 	if p.acks < len(co.cps) {
 		return
 	}
-	p.timeout.Cancel()
 	marker := CommitMarker{Seq: p.g.Seq, Ranks: len(co.cps), At: co.eng.Now()}
-	if err := co.cps[0].Store().Put(CommitKey(p.g.Seq), EncodeCommitMarker(marker)); err != nil {
+	if err := p.markers.Put(CommitKey(p.g.Seq), EncodeCommitMarker(marker)); err != nil {
 		co.abortPending(p, fmt.Errorf("ckpt: seq %d commit marker refused (%v): %w", p.g.Seq, err, ErrCommitAborted))
 		return
 	}
 	co.pending = nil
 	co.results = append(co.results, p.g)
-	if co.OnGlobal != nil {
-		co.OnGlobal(p.g)
-	}
 	p.done(p.g, nil)
 }
 
@@ -249,19 +213,17 @@ func (co *Coordinator) abortPending(p *pendingCommit, reason error) {
 	for _, ev := range p.ackEvs {
 		ev.Cancel()
 	}
-	p.timeout.Cancel()
 	co.deleteLine(p.g.Seq)
 	co.pending = nil
 	p.done(GlobalResult{}, reason)
 }
 
-// deleteLine removes every rank's segment at seq (best effort — a
-// decayed store may refuse; the absent COMMIT marker alone already keeps
-// recovery away from the line).
+// deleteLine removes every rank's segment at seq through that rank's own
+// store (best effort — a decayed store may refuse; the absent COMMIT
+// marker alone already keeps recovery away from the line).
 func (co *Coordinator) deleteLine(seq uint64) {
-	st := co.cps[0].Store()
 	for _, c := range co.cps {
-		_ = st.Delete(SegmentKey(c.Rank(), seq))
+		_ = c.Store().Delete(SegmentKey(c.Rank(), seq))
 	}
 }
 
@@ -283,6 +245,25 @@ func VerifyCommittedLine(store storage.Store, ranks int, seq uint64) error {
 	return VerifyLine(store, ranks, seq)
 }
 
+// MarkerSeqs lists, newest first, the sequences whose COMMIT-marker keys
+// the store holds — what the key space claims committed, before any
+// marker or segment is read.
+func MarkerSeqs(store storage.Store) ([]uint64, error) {
+	keys, err := store.Keys()
+	if err != nil {
+		return nil, err
+	}
+	var seqs []uint64
+	for _, k := range keys {
+		var s uint64
+		if ParseCommitKey(k, &s) {
+			seqs = append(seqs, s)
+		}
+	}
+	slices.SortFunc(seqs, func(a, b uint64) int { return cmp.Compare(b, a) })
+	return seqs, nil
+}
+
 // LatestCommittedSeq returns the newest line recovery may trust under
 // two-phase commit: a sequence with a verified COMMIT marker whose every
 // chain verifies. Lines with damaged or missing markers are skipped, not
@@ -291,18 +272,10 @@ func LatestCommittedSeq(store storage.Store, ranks int) (seq uint64, ok bool, er
 	if ranks <= 0 {
 		return 0, false, nil
 	}
-	keys, err := store.Keys()
+	candidates, err := MarkerSeqs(store)
 	if err != nil {
 		return 0, false, err
 	}
-	var candidates []uint64
-	for _, k := range keys {
-		var s uint64
-		if ParseCommitKey(k, &s) {
-			candidates = append(candidates, s)
-		}
-	}
-	sort.Slice(candidates, func(i, j int) bool { return candidates[i] > candidates[j] })
 	for _, s := range candidates {
 		if VerifyCommittedLine(store, ranks, s) == nil {
 			return s, true, nil

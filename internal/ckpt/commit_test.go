@@ -93,7 +93,7 @@ func TestTwoPhaseCommitCompletes(t *testing.T) {
 	var doneAt des.Time
 	var doneErr error
 	done := false
-	co.BeginTwoPhase(TwoPhaseOptions{AckDelay: 10 * des.Millisecond}, func(res GlobalResult, err error) {
+	co.BeginTwoPhase(store, 10*des.Millisecond, func(res GlobalResult, err error) {
 		g, doneErr, doneAt, done = res, err, eng.Now(), true
 	})
 	eng.Run(des.MaxTime)
@@ -130,7 +130,7 @@ func TestAbortBetweenPrepareAndCommit(t *testing.T) {
 
 	// First, a line that fully commits.
 	var firstErr error
-	co.BeginTwoPhase(TwoPhaseOptions{}, func(_ GlobalResult, err error) { firstErr = err })
+	co.BeginTwoPhase(store, 0, func(_ GlobalResult, err error) { firstErr = err })
 	eng.Run(des.MaxTime)
 	if firstErr != nil {
 		t.Fatal(firstErr)
@@ -142,7 +142,7 @@ func TestAbortBetweenPrepareAndCommit(t *testing.T) {
 	var abortErr error
 	aborted := false
 	eng.After(0, func() {
-		co.BeginTwoPhase(TwoPhaseOptions{}, func(_ GlobalResult, err error) { abortErr, aborted = err, true })
+		co.BeginTwoPhase(store, 0, func(_ GlobalResult, err error) { abortErr, aborted = err, true })
 	})
 	eng.After(500*des.Millisecond, func() {
 		if !co.AbortPending(errors.New("rank 1 died")) {
@@ -171,23 +171,50 @@ func TestAbortBetweenPrepareAndCommit(t *testing.T) {
 	}
 }
 
-// A straggler timeout aborts the round on its own.
-func TestStragglerTimeoutAborts(t *testing.T) {
-	store := storage.NewMemStore()
-	eng, co, _ := commitRig(t, 2, store)
-	var err error
-	done := false
-	// Acks land at 2s; a 1s straggler guard fires first.
-	co.BeginTwoPhase(TwoPhaseOptions{Timeout: des.Second}, func(_ GlobalResult, e error) { err, done = e, true })
+// An aborted round over ranks that each persist to their own store (the
+// multi-level L1 layout) deletes every rank's prepared segment through
+// that rank's store, and the marker store never sees the line.
+func TestAbortDeletesSegmentsFromEveryRankStore(t *testing.T) {
+	eng := des.NewEngine()
+	sink := storage.Model{Name: "s", Bandwidth: float64(pageSize)}
+	markers := storage.NewMemStore()
+	var cps []*Checkpointer
+	var stores []storage.Store
+	for i := 0; i < 3; i++ {
+		sp := mem.NewAddressSpace(mem.Config{PageSize: pageSize})
+		r, _ := sp.Mmap(2 * pageSize)
+		sp.Write(r.Start(), bytes.Repeat([]byte{byte(i + 1)}, 2*pageSize))
+		st := storage.NewMemStore()
+		c, err := NewCheckpointer(eng, sp, Options{Rank: i, Store: st, Sink: sink})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Start()
+		cps = append(cps, c)
+		stores = append(stores, st)
+	}
+	co, err := NewCoordinator(eng, cps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doneErr error
+	co.BeginTwoPhase(markers, 0, func(_ GlobalResult, e error) { doneErr = e })
+	eng.After(500*des.Millisecond, func() {
+		if !co.AbortPending(errors.New("rank 2 died")) {
+			t.Fatal("nothing pending to abort")
+		}
+	})
 	eng.Run(des.MaxTime)
-	if !done || !errors.Is(err, ErrCommitAborted) {
-		t.Fatalf("straggler: done=%v err=%v", done, err)
+	if !errors.Is(doneErr, ErrCommitAborted) {
+		t.Fatalf("abort: err=%v", doneErr)
 	}
-	if eng.Now() != des.Second {
-		t.Fatalf("abort at %v, want 1s", eng.Now())
+	for i, st := range stores {
+		if keys, _ := st.Keys(); len(keys) != 0 {
+			t.Errorf("rank %d store kept %v after the abort", i, keys)
+		}
 	}
-	if _, ok, _ := LatestCommittedSeq(store, 2); ok {
-		t.Fatal("timed-out line trusted")
+	if keys, _ := markers.Keys(); len(keys) != 0 {
+		t.Errorf("marker store holds %v after the abort", keys)
 	}
 }
 
@@ -200,7 +227,7 @@ func TestPrepareRefusalIsNotAbort(t *testing.T) {
 	})
 	_, co, _ := commitRig(t, 2, faulty)
 	var err error
-	co.BeginTwoPhase(TwoPhaseOptions{}, func(_ GlobalResult, e error) { err = e })
+	co.BeginTwoPhase(faulty, 0, func(_ GlobalResult, e error) { err = e })
 	if err == nil {
 		t.Fatal("outage store accepted prepare")
 	}
@@ -222,7 +249,7 @@ func TestDamagedMarkerSkipped(t *testing.T) {
 	eng, co, spaces := commitRig(t, 2, store)
 	for i := 0; i < 2; i++ {
 		var err error
-		co.BeginTwoPhase(TwoPhaseOptions{}, func(_ GlobalResult, e error) { err = e })
+		co.BeginTwoPhase(store, 0, func(_ GlobalResult, e error) { err = e })
 		eng.Run(des.MaxTime)
 		if err != nil {
 			t.Fatal(err)

@@ -8,7 +8,7 @@ import (
 
 // GlobalResult describes one coordinated checkpoint across all ranks.
 type GlobalResult struct {
-	// Seq is the global checkpoint number.
+	// Seq is the line's segment sequence number, common to every rank.
 	Seq uint64
 	// At is the virtual time the checkpoint was triggered.
 	At des.Time
@@ -30,15 +30,6 @@ type Coordinator struct {
 	eng *des.Engine
 	cps []*Checkpointer
 
-	// OnGlobal, when set, observes each completed global checkpoint.
-	OnGlobal func(GlobalResult)
-
-	// Staggered models a *shared* checkpoint sink: ranks' segments
-	// serialise through it, so the global commit latency is the sum of
-	// per-rank write times rather than the maximum. The default
-	// (parallel) models per-node local disks, the paper's §3 setting.
-	Staggered bool
-
 	ticker  *des.Ticker
 	results []GlobalResult
 	// pending is the in-flight two-phase round, if any (see commit.go).
@@ -55,26 +46,32 @@ func NewCoordinator(eng *des.Engine, cps []*Checkpointer) (*Coordinator, error) 
 }
 
 // GlobalCheckpoint checkpoints every rank at the current virtual time and
-// returns the aggregate result.
+// returns the aggregate result: the one-phase commit, where the line is
+// good as soon as the last rank's Put returns.
 func (co *Coordinator) GlobalCheckpoint() (GlobalResult, error) {
-	g := GlobalResult{Seq: uint64(len(co.results)), At: co.eng.Now()}
+	g, err := co.capture()
+	if err != nil {
+		return GlobalResult{}, err
+	}
+	co.results = append(co.results, g)
+	return g, nil
+}
+
+// capture checkpoints every rank at the current virtual time — the one
+// per-rank capture loop both commit protocols share. Ranks write through
+// their own (per-node, parallel) sinks, so the line's commit latency is
+// the slowest rank's write, the paper's §3 setting. On error g still
+// names the line's sequence, so the caller can delete what was written.
+func (co *Coordinator) capture() (GlobalResult, error) {
+	g := GlobalResult{Seq: co.cps[0].Seq(), At: co.eng.Now()}
 	for _, c := range co.cps {
 		res, err := c.Checkpoint()
 		if err != nil {
-			return GlobalResult{}, err
+			return g, err
 		}
 		g.PerRank = append(g.PerRank, res)
 		g.TotalPageBytes += res.PageBytes
-		if co.Staggered {
-			// Shared sink: commits serialise.
-			g.MaxDuration += res.Duration
-		} else if res.Duration > g.MaxDuration {
-			g.MaxDuration = res.Duration
-		}
-	}
-	co.results = append(co.results, g)
-	if co.OnGlobal != nil {
-		co.OnGlobal(g)
+		g.MaxDuration = max(g.MaxDuration, res.Duration)
 	}
 	return g, nil
 }

@@ -9,50 +9,6 @@ import (
 	"repro/internal/storage"
 )
 
-func TestStaggeredCoordinator(t *testing.T) {
-	eng := des.NewEngine()
-	store := storage.NewMemStore()
-	sink := storage.Model{Name: "s", Bandwidth: float64(pageSize)} // 1 page/s
-	var cps []*Checkpointer
-	for i := 0; i < 3; i++ {
-		sp := mem.NewAddressSpace(mem.Config{PageSize: pageSize})
-		sp.Mmap(2 * pageSize)
-		c, _ := NewCheckpointer(eng, sp, Options{Rank: i, Store: store, Sink: sink})
-		c.Start()
-		cps = append(cps, c)
-	}
-	parallel, _ := NewCoordinator(eng, cps)
-	g1, err := parallel.GlobalCheckpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Parallel sinks: commit latency = slowest rank = 2 pages = 2s.
-	if g1.MaxDuration != 2*des.Second {
-		t.Fatalf("parallel commit = %v, want 2s", g1.MaxDuration)
-	}
-
-	// Same layout through a shared (staggered) sink.
-	eng2 := des.NewEngine()
-	var cps2 []*Checkpointer
-	for i := 0; i < 3; i++ {
-		sp := mem.NewAddressSpace(mem.Config{PageSize: pageSize})
-		sp.Mmap(2 * pageSize)
-		c, _ := NewCheckpointer(eng2, sp, Options{Rank: i, Store: storage.NewMemStore(), Sink: sink})
-		c.Start()
-		cps2 = append(cps2, c)
-	}
-	shared, _ := NewCoordinator(eng2, cps2)
-	shared.Staggered = true
-	g2, err := shared.GlobalCheckpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Shared sink: 3 ranks x 2 pages serialise = 6s.
-	if g2.MaxDuration != 6*des.Second {
-		t.Fatalf("staggered commit = %v, want 6s", g2.MaxDuration)
-	}
-}
-
 func TestChainVolume(t *testing.T) {
 	eng := des.NewEngine()
 	sp := mem.NewAddressSpace(mem.Config{PageSize: pageSize})

@@ -2,6 +2,7 @@ package ckptspec
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -114,4 +115,26 @@ func TestRecomputableSelection(t *testing.T) {
 	if len(got) != 1 || got[0].Region != r2 {
 		t.Fatalf("Recomputable = %+v, want just SSOR.work", got)
 	}
+}
+
+// FuzzParseSpec holds Parse to its contract: it never panics, and a spec
+// it accepts encodes to bytes that parse back to an equal spec.
+func FuzzParseSpec(f *testing.F) {
+	f.Add(sample().Encode())
+	f.Add([]byte("package a\nregion A.a must r\nregion B.b recomputable  two  spaces\n"))
+	f.Add([]byte("# comment\n\npackage a\nregion B.b must r\nregion A.a must r\n"))
+	f.Add([]byte(""))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := Parse(data)
+		if err != nil {
+			return
+		}
+		again, err := Parse(s.Encode())
+		if err != nil {
+			t.Fatalf("encoded spec rejected: %v\n%s", err, s.Encode())
+		}
+		if !reflect.DeepEqual(s, again) {
+			t.Fatalf("round trip changed the spec:\n%+v\n%+v", s, again)
+		}
+	})
 }

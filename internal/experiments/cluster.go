@@ -40,8 +40,8 @@ type ClusterRow struct {
 	MeanEfficiency float64
 	// Failures and Recoveries sum node deaths and completed recoveries.
 	Failures, Recoveries int
-	// AbortedCommits sums two-phase rounds rolled back by a death (or
-	// straggler) inside the commit window.
+	// AbortedCommits sums two-phase rounds rolled back by a death inside
+	// the commit window (or a refused marker write).
 	AbortedCommits int
 	// MeanDetect and MaxDetect summarise the measured detection-latency
 	// distribution across all heartbeat-detected failures.

@@ -464,6 +464,16 @@ func (h *Hierarchy) CorruptParity(seq uint64, rng *rand.Rand) (string, bool) {
 // through storage.FileStore: a reader sees the old manifest or the new
 // one, never a torn file.
 func (h *Hierarchy) SaveManifest(dir string) error {
+	fs, err := storage.NewFileStore(dir)
+	if err != nil {
+		return err
+	}
+	return fs.Put("manifest", h.manifest())
+}
+
+// manifest renders the hierarchy's geometry in the text form
+// parseManifest reads.
+func (h *Hierarchy) manifest() []byte {
 	var b strings.Builder
 	fmt.Fprintf(&b, "multilevel v1\n")
 	fmt.Fprintf(&b, "scheme %s %d %d\n", h.cfg.Scheme.Kind, h.cfg.Scheme.K, h.cfg.Scheme.M)
@@ -478,41 +488,15 @@ func (h *Hierarchy) SaveManifest(dir string) error {
 			fmt.Fprintf(&b, "\n")
 		}
 	}
-	fs, err := storage.NewFileStore(dir)
-	if err != nil {
-		return err
-	}
-	return fs.Put("manifest", []byte(b.String()))
+	return []byte(b.String())
 }
 
 // NewFileHierarchy builds a file-backed hierarchy under dir and saves
 // its manifest, so the layout is self-describing on disk.
 func NewFileHierarchy(dir string, scheme Scheme, domains *cluster.DomainMap, globalEvery int, net mpi.Network) (*Hierarchy, error) {
-	global, err := storage.NewFileStore(filepath.Join(dir, "global"))
+	h, err := openFileHierarchy(dir, Config{Scheme: scheme, Domains: domains, GlobalEvery: globalEvery, Net: net})
 	if err != nil {
 		return nil, err
-	}
-	var ferr error
-	h, err := NewHierarchy(Config{
-		Scheme:      scheme,
-		Domains:     domains,
-		Global:      global,
-		GlobalEvery: globalEvery,
-		Net:         net,
-		NewLocal: func(rank int) storage.Store {
-			fs, err := storage.NewFileStore(filepath.Join(dir, "local", fmt.Sprintf("rank%03d", rank)))
-			if err != nil {
-				ferr = err
-				return storage.NewMemStore()
-			}
-			return fs
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	if ferr != nil {
-		return nil, ferr
 	}
 	if err := h.SaveManifest(dir); err != nil {
 		return nil, err
@@ -526,13 +510,54 @@ func LoadFileHierarchy(dir string) (*Hierarchy, error) {
 	if err != nil {
 		return nil, fmt.Errorf("redundancy: read manifest: %w", err)
 	}
+	cfg, err := parseManifest(raw)
+	if err != nil {
+		return nil, err
+	}
+	cfg.Net = mpi.QsNet()
+	return openFileHierarchy(dir, cfg)
+}
+
+// openFileHierarchy builds cfg's hierarchy over the file stores under
+// dir: the L3 store in global/, one L1 store per rank in local/.
+func openFileHierarchy(dir string, cfg Config) (*Hierarchy, error) {
+	global, err := storage.NewFileStore(filepath.Join(dir, "global"))
+	if err != nil {
+		return nil, err
+	}
+	cfg.Global = global
+	var ferr error
+	cfg.NewLocal = func(rank int) storage.Store {
+		fs, err := storage.NewFileStore(filepath.Join(dir, "local", fmt.Sprintf("rank%03d", rank)))
+		if err != nil {
+			ferr = err
+			return storage.NewMemStore()
+		}
+		return fs
+	}
+	h, err := NewHierarchy(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if ferr != nil {
+		return nil, ferr
+	}
+	return h, nil
+}
+
+// parseManifest decodes a manifest's text into the geometry part of a
+// Config (Scheme, Domains, GlobalEvery). Every rank must be listed in
+// exactly one domain line, so the rank count is bounded by the input.
+func parseManifest(raw []byte) (Config, error) {
+	var cfg Config
 	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
 	if len(lines) < 4 || strings.TrimSpace(lines[0]) != "multilevel v1" {
-		return nil, fmt.Errorf("redundancy: unrecognized manifest header")
+		return cfg, fmt.Errorf("redundancy: unrecognized manifest header")
 	}
-	var scheme Scheme
-	ranks, globalEvery := 0, 1
+	ranks, listed := 0, 0
+	cfg.GlobalEvery = 1
 	groups := make(map[string][]int)
+	var err error
 	for _, ln := range lines[1:] {
 		fields := strings.Fields(ln)
 		if len(fields) == 0 {
@@ -541,90 +566,70 @@ func LoadFileHierarchy(dir string) (*Hierarchy, error) {
 		switch fields[0] {
 		case "scheme":
 			if len(fields) != 4 {
-				return nil, fmt.Errorf("redundancy: manifest scheme line %q", ln)
+				return cfg, fmt.Errorf("redundancy: manifest scheme line %q", ln)
 			}
 			switch fields[1] {
 			case "none":
-				scheme.Kind = None
+				cfg.Scheme.Kind = None
 			case "xor":
-				scheme.Kind = XOR
+				cfg.Scheme.Kind = XOR
 			case "rs":
-				scheme.Kind = RS
+				cfg.Scheme.Kind = RS
 			default:
-				return nil, fmt.Errorf("redundancy: unknown scheme %q", fields[1])
+				return cfg, fmt.Errorf("redundancy: unknown scheme %q", fields[1])
 			}
-			if scheme.K, err = strconv.Atoi(fields[2]); err != nil {
-				return nil, fmt.Errorf("redundancy: manifest k: %w", err)
+			if cfg.Scheme.K, err = strconv.Atoi(fields[2]); err != nil {
+				return cfg, fmt.Errorf("redundancy: manifest k: %w", err)
 			}
-			if scheme.M, err = strconv.Atoi(fields[3]); err != nil {
-				return nil, fmt.Errorf("redundancy: manifest m: %w", err)
+			if cfg.Scheme.M, err = strconv.Atoi(fields[3]); err != nil {
+				return cfg, fmt.Errorf("redundancy: manifest m: %w", err)
 			}
 		case "ranks":
 			if len(fields) != 2 {
-				return nil, fmt.Errorf("redundancy: manifest ranks line %q", ln)
+				return cfg, fmt.Errorf("redundancy: manifest ranks line %q", ln)
 			}
 			if ranks, err = strconv.Atoi(fields[1]); err != nil {
-				return nil, fmt.Errorf("redundancy: manifest ranks: %w", err)
+				return cfg, fmt.Errorf("redundancy: manifest ranks: %w", err)
 			}
 		case "globalevery":
 			if len(fields) != 2 {
-				return nil, fmt.Errorf("redundancy: manifest globalevery line %q", ln)
+				return cfg, fmt.Errorf("redundancy: manifest globalevery line %q", ln)
 			}
-			if globalEvery, err = strconv.Atoi(fields[1]); err != nil {
-				return nil, fmt.Errorf("redundancy: manifest globalevery: %w", err)
+			if cfg.GlobalEvery, err = strconv.Atoi(fields[1]); err != nil || cfg.GlobalEvery < 1 {
+				return cfg, fmt.Errorf("redundancy: manifest globalevery %q", fields[1])
 			}
 		case "domain":
 			if len(fields) < 2 {
-				return nil, fmt.Errorf("redundancy: manifest domain line %q", ln)
+				return cfg, fmt.Errorf("redundancy: manifest domain line %q", ln)
 			}
-			var members []int
+			if _, dup := groups[fields[1]]; dup {
+				return cfg, fmt.Errorf("redundancy: manifest domain %q listed twice", fields[1])
+			}
+			members := []int{}
 			for _, f := range fields[2:] {
 				r, err := strconv.Atoi(f)
 				if err != nil {
-					return nil, fmt.Errorf("redundancy: manifest domain member: %w", err)
+					return cfg, fmt.Errorf("redundancy: manifest domain member: %w", err)
 				}
 				members = append(members, r)
 			}
 			groups[fields[1]] = members
+			listed += len(members)
 		default:
-			return nil, fmt.Errorf("redundancy: unknown manifest line %q", ln)
+			return cfg, fmt.Errorf("redundancy: unknown manifest line %q", ln)
 		}
 	}
 	if ranks < 1 {
-		return nil, fmt.Errorf("redundancy: manifest missing ranks")
+		return cfg, fmt.Errorf("redundancy: manifest missing ranks")
 	}
 	if len(groups) == 0 {
-		return nil, fmt.Errorf("redundancy: manifest missing domain lines")
+		return cfg, fmt.Errorf("redundancy: manifest missing domain lines")
 	}
-	dm, err := cluster.DomainMapFromGroups(ranks, groups)
-	if err != nil {
-		return nil, err
+	if listed != ranks {
+		return cfg, fmt.Errorf("redundancy: manifest domains list %d ranks, want %d", listed, ranks)
 	}
-	global, err := storage.NewFileStore(filepath.Join(dir, "global"))
-	if err != nil {
-		return nil, err
+	if cfg.Domains, err = cluster.DomainMapFromGroups(ranks, groups); err != nil {
+		return cfg, err
 	}
-	var ferr error
-	h, err := NewHierarchy(Config{
-		Scheme:      scheme,
-		Domains:     dm,
-		Global:      global,
-		GlobalEvery: globalEvery,
-		Net:         mpi.QsNet(),
-		NewLocal: func(rank int) storage.Store {
-			fs, err := storage.NewFileStore(filepath.Join(dir, "local", fmt.Sprintf("rank%03d", rank)))
-			if err != nil {
-				ferr = err
-				return storage.NewMemStore()
-			}
-			return fs
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	if ferr != nil {
-		return nil, ferr
-	}
-	return h, nil
+	return cfg, nil
 }

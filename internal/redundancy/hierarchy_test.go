@@ -439,3 +439,43 @@ func equalInts(a, b []int) bool {
 	}
 	return true
 }
+
+// FuzzParseManifest holds the manifest parser to its contract: it never
+// panics, and a manifest it accepts — one LoadFileHierarchy would open —
+// renders back through SaveManifest's text to the same geometry.
+func FuzzParseManifest(f *testing.F) {
+	f.Add("multilevel v1\nscheme rs 2 2\nranks 8\nglobalevery 3\n" +
+		"domain d0 0 1\ndomain d1 2 3\ndomain d2 4 5\ndomain d3 6 7\n")
+	f.Add("multilevel v1\nscheme xor 2 1\nranks 4\nglobalevery 2\ndomain rack0 0 1\ndomain rack1 2\ndomain rack2 3\n")
+	f.Add("multilevel v1\nscheme none 0 0\nranks 1\nglobalevery 1\ndomain d0 0\n")
+	f.Add("multilevel v1\nscheme xor 1 1\nranks 4000000000\nglobalevery 1\ndomain d0 0\n")
+	f.Add("multilevel v1\nscheme rs 2 2\nranks 2\nglobalevery 0\ndomain d0 0\ndomain d0 1\n")
+	f.Add("")
+	f.Fuzz(func(t *testing.T, raw string) {
+		cfg, err := parseManifest([]byte(raw))
+		if err != nil {
+			return
+		}
+		cfg.Global = storage.NewMemStore()
+		h, err := NewHierarchy(cfg)
+		if err != nil {
+			return
+		}
+		again, err := parseManifest(h.manifest())
+		if err != nil {
+			t.Fatalf("saved manifest rejected: %v\n%s", err, h.manifest())
+		}
+		if again.Scheme != cfg.Scheme || again.GlobalEvery != cfg.GlobalEvery {
+			t.Fatalf("scheme/globalevery %v/%d reparsed as %v/%d", cfg.Scheme, cfg.GlobalEvery, again.Scheme, again.GlobalEvery)
+		}
+		a, b := cfg.Domains, again.Domains
+		if a.Ranks() != b.Ranks() || a.Domains() != b.Domains() {
+			t.Fatalf("domain map %d ranks/%d domains reparsed as %d/%d", a.Ranks(), a.Domains(), b.Ranks(), b.Domains())
+		}
+		for d := 0; d < a.Domains(); d++ {
+			if a.Name(d) != b.Name(d) || !equalInts(a.Members(d), b.Members(d)) {
+				t.Fatalf("domain %d: %s %v reparsed as %s %v", d, a.Name(d), a.Members(d), b.Name(d), b.Members(d))
+			}
+		}
+	})
+}
